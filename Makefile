@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint lint-baseline lint-suppressions lint-sarif lint-hotpath build test test-race test-race-sweep attack-soak test-invariants fuzz cover bench-smoke mutate mutate-full
+.PHONY: check fmt vet lint lint-baseline lint-suppressions lint-sarif lint-hotpath build test test-race test-race-sweep attack-soak test-invariants fuzz cover mutate mutate-full
 
 check: fmt vet lint lint-suppressions build test test-race-sweep
 
@@ -80,21 +80,6 @@ cover:
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { \
 		if (t+0 <= f-2.0) { printf "coverage regressed >= 2 points below the floor (%.1f%% vs %.1f%%)\n", t, f; exit 1 } \
 		if (t+0 > f+2.0) { printf "note: coverage is %.1f%%; consider raising coverage-floor.txt\n", t } }'
-
-# Performance smoke gate: one iteration of the sweep scheduler benchmarks
-# plus the zero-allocation guard on the probe-off submit path (the guard
-# also runs in plain `test`, so `check` carries it). Catches "still
-# correct but now allocates / serializes" regressions without a full
-# benchmark session; CI runs this after `check` and uploads the
-# machine-readable record (BENCH_smoke.json: scheme, workers, ns/op,
-# allocs/op, git SHA — see cmd/benchjson) as an artifact.
-bench-smoke:
-	$(GO) test -run TestSubmitSteadyStateZeroAlloc -bench 'BenchmarkSweepWorkers' -benchtime 1x -benchmem . ./internal/core/ > bench-smoke.out \
-		|| { cat bench-smoke.out; rm -f bench-smoke.out; exit 1; }
-	@cat bench-smoke.out
-	@mut=""; if [ -f mgmutate-report.json ]; then mut="-mutation mgmutate-report.json"; fi; \
-	$(GO) run ./cmd/benchjson -sha "$$(git rev-parse HEAD 2>/dev/null || echo unknown)" $$mut -o BENCH_smoke.json < bench-smoke.out
-	@rm -f bench-smoke.out
 
 # Mutation-testing gate (see cmd/mgmutate and DESIGN.md "Mutation
 # testing"). Audits //mutate:ignore directives first (stale or unreasoned

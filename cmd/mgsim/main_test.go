@@ -125,3 +125,18 @@ func TestBadArgs(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownWorkload asserts a bad workload flag is reported as an error
+// (non-zero exit, one diagnostic line) rather than a panic.
+func TestUnknownWorkload(t *testing.T) {
+	out, errs, code := runCmd(t, "-cpu", "nosuch", "-scale", "0.02")
+	if code == 0 {
+		t.Fatal("exit 0 for an unknown workload")
+	}
+	if out != "" {
+		t.Errorf("wrote to stdout on error: %q", out)
+	}
+	if want := "hetero: workload: unknown workload \"nosuch\"\n"; errs != want {
+		t.Errorf("stderr = %q, want %q", errs, want)
+	}
+}

@@ -1,6 +1,7 @@
 package hetero
 
 import (
+	"context"
 	"testing"
 
 	"unimem/internal/core"
@@ -190,6 +191,7 @@ func TestPipelinesRun(t *testing.T) {
 		un := RunPipeline(p, core.Unsecure, testCfg)
 		conv := RunPipeline(p, core.Conventional, testCfg)
 		ours := RunPipeline(p, core.Ours, testCfg)
+		oracle := RunPipeline(p, core.PerPartitionOracle, testCfg)
 		if len(un.StageEndPs) != 3 {
 			t.Fatalf("%s: stages = %d", p.Name, len(un.StageEndPs))
 		}
@@ -199,6 +201,29 @@ func TestPipelinesRun(t *testing.T) {
 		if ours.TotalPs >= conv.TotalPs {
 			t.Fatalf("%s: ours (%d) not faster than conventional (%d)", p.Name, ours.TotalPs, conv.TotalPs)
 		}
+		// The oracle runs on the table profiled from the pipeline itself.
+		if oracle.TotalPs >= conv.TotalPs {
+			t.Fatalf("%s: Per-partition-best (%d) not faster than conventional (%d)", p.Name, oracle.TotalPs, conv.TotalPs)
+		}
+	}
+}
+
+// TestRunUnknownWorkload asserts a bad workload name is an error at the
+// boundary: Run reports it through Err before any warmup pass runs (the
+// warmup schemes would otherwise hit it inside their search), and a sweep
+// fails with the same plain error instead of a recovered panic.
+func TestRunUnknownWorkload(t *testing.T) {
+	sc := Scenario{ID: "bad", CPU: "nosuch", GPU: "mm", NPU1: "alex", NPU2: "dlrm"}
+	const want = `hetero: workload: unknown workload "nosuch"`
+	for _, s := range []core.Scheme{core.Conventional, core.StaticDeviceBest, core.PerPartitionOracle} {
+		res := Run(sc, s, testCfg)
+		if res.Err == nil || res.Err.Error() != want {
+			t.Errorf("%v: Err = %v, want %s", s, res.Err, want)
+		}
+	}
+	_, err := SweepParallel(context.Background(), []Scenario{sc}, []core.Scheme{core.StaticDeviceBest}, testCfg, SweepOptions{Workers: 1})
+	if err == nil || err.Error() != want {
+		t.Fatalf("sweep err = %v, want %s", err, want)
 	}
 }
 

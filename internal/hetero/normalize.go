@@ -74,9 +74,9 @@ type SweepResult struct {
 func Sweep(scs []Scenario, schemes []core.Scheme, cfg Config) []SweepResult {
 	rs, err := SweepParallel(context.Background(), scs, schemes, cfg, SweepOptions{})
 	if err != nil {
-		// The background context never cancels, so the only error source
-		// is a panicking simulation run — surface it like the sequential
-		// sweep did.
+		// The background context never cancels, so the only error
+		// sources are failed or panicking simulation runs — surface them
+		// like the sequential sweep did.
 		panic(err)
 	}
 	return rs

@@ -1,13 +1,13 @@
 package hetero
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"unimem/internal/core"
 	"unimem/internal/mem"
 	"unimem/internal/tracker"
+	"unimem/internal/workload"
 )
 
 // TestNormalizeZeroBaselineDevice is the regression test for the NaN/Inf
@@ -126,25 +126,29 @@ func TestBestStaticNotStaleAcrossConfigs(t *testing.T) {
 	cfgA := Config{Scale: 0.03, Seed: 1}
 	cfgB := Config{Scale: 0.03, Seed: 99}
 
+	alex := placement{index: 2, class: workload.NPU, workload: "alex"}
+
 	// Cold results for both configs.
-	coldA := bestStaticFor("alex", 2, cfgA)
+	coldA := bestStaticFor(alex, cfgA)
 	resetWarmupCaches()
-	coldB := bestStaticFor("alex", 2, cfgB)
+	coldB := bestStaticFor(alex, cfgB)
 
 	// Prime with A, then query B: must equal B's cold result, not A's
 	// cache entry (they may coincide by value, but the computation must
 	// key separately — assert via the deterministic cold answer).
 	resetWarmupCaches()
-	if got := bestStaticFor("alex", 2, cfgA); got != coldA {
+	if got := bestStaticFor(alex, cfgA); got != coldA {
 		t.Fatalf("cfgA not deterministic: %v vs %v", got, coldA)
 	}
-	if got := bestStaticFor("alex", 2, cfgB); got != coldB {
+	if got := bestStaticFor(alex, cfgB); got != coldB {
 		t.Fatalf("cfgB after priming with cfgA = %v, want cold result %v", got, coldB)
 	}
 
 	// Same workload on a different device index keys separately too (the
-	// index offsets the trace seed).
-	if k1, k2 := bestStaticKeyForTest("alex", 2, cfgA), bestStaticKeyForTest("alex", 3, cfgA); k1 == k2 {
+	// index offsets the trace seed): it gets a memo entry of its own.
+	before := len(staticBest.m)
+	bestStaticFor(placement{index: 3, class: workload.NPU, workload: "alex"}, cfgA)
+	if len(staticBest.m) != before+1 {
 		t.Fatal("device index not part of the cache key")
 	}
 }
@@ -156,8 +160,8 @@ func TestProfileTableMemoizedCopies(t *testing.T) {
 	defer resetWarmupCaches()
 	sc := SelectedScenarios()[9] // cc2: coarse, detections guaranteed
 	cfg := Config{Scale: 0.03, Seed: 1}
-	t1 := profileTable(sc, cfg)
-	t2 := profileTable(sc, cfg)
+	t1 := profileTable(sc.placements(cfg.Seed), cfg)
+	t2 := profileTable(sc.placements(cfg.Seed), cfg)
 	if t1 == t2 {
 		t.Fatal("profileTable handed out the shared memoized table")
 	}
@@ -167,9 +171,4 @@ func TestProfileTableMemoizedCopies(t *testing.T) {
 	if t1.Chunks() != t2.Chunks() {
 		t.Fatalf("memoized copies disagree: %d vs %d chunks", t1.Chunks(), t2.Chunks())
 	}
-}
-
-// bestStaticKeyForTest mirrors bestStaticFor's key construction.
-func bestStaticKeyForTest(name string, index int, cfg Config) string {
-	return fmt.Sprintf("%s#%d|%s", name, index, cfg.fingerprint())
 }

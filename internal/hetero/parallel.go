@@ -53,8 +53,9 @@ type job struct {
 //   - Cancelling ctx stops the sweep at the next run boundary (an
 //     individual simulation is never interrupted) and returns ctx.Err().
 //
-// A panic in a simulation run (unknown workload, undrained device) is
-// caught, cancels the sweep, and is returned as an error naming the run.
+// A run that fails (RunResult.Err: unknown workload, undrained device)
+// cancels the sweep and its error is returned; a panic in a run (e.g. from
+// a caller's NewProbe) is caught and returned as an error naming the run.
 func SweepParallel(ctx context.Context, scs []Scenario, schemes []core.Scheme, cfg Config, opts SweepOptions) ([]SweepResult, error) {
 	workers := opts.Workers
 	if workers <= 0 {

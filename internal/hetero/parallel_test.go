@@ -3,9 +3,11 @@ package hetero
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"unimem/internal/core"
+	"unimem/internal/probe"
 )
 
 // parallelTestCfg keeps the determinism sweeps tractable under -race.
@@ -166,13 +168,18 @@ func TestSweepParallelEmpty(t *testing.T) {
 	}
 }
 
-// TestSweepParallelPanicBecomesError asserts a panicking run (unknown
-// workload) fails the sweep with an error instead of killing the process.
+// TestSweepParallelPanicBecomesError asserts a panicking run (here a
+// caller's probe constructor) fails the sweep with an error naming the
+// run instead of killing the process.
 func TestSweepParallelPanicBecomesError(t *testing.T) {
-	scs := []Scenario{{ID: "bad", CPU: "no-such-workload", GPU: "mm", NPU1: "alex", NPU2: "alex"}}
-	rs, err := SweepParallel(context.Background(), scs, []core.Scheme{core.Conventional}, parallelTestCfg, SweepOptions{Workers: 2})
+	cfg := parallelTestCfg
+	cfg.NewProbe = func(Scenario, core.Scheme) probe.Probe { panic("probe constructor failed") }
+	rs, err := SweepParallel(context.Background(), SampleScenarios(1), []core.Scheme{core.Conventional}, cfg, SweepOptions{Workers: 2})
 	if err == nil {
-		t.Fatal("sweep with unknown workload did not fail")
+		t.Fatal("sweep with a panicking probe did not fail")
+	}
+	if !strings.Contains(err.Error(), "panicked: probe constructor failed") {
+		t.Fatalf("unexpected sweep error: %v", err)
 	}
 	if rs != nil {
 		t.Fatal("failed sweep returned results")

@@ -1,14 +1,7 @@
 package hetero
 
 import (
-	"fmt"
-
 	"unimem/internal/core"
-	"unimem/internal/cpu"
-	"unimem/internal/gpu"
-	"unimem/internal/mem"
-	"unimem/internal/meta"
-	"unimem/internal/npu"
 	"unimem/internal/sim"
 	"unimem/internal/workload"
 )
@@ -65,54 +58,24 @@ type PipelineResult struct {
 // processes a stream of inputs (frames, market ticks), so all stages are
 // active concurrently on successive inputs, contending for the shared
 // memory system behind one protection engine. Each stage works in its
-// device's region (handoff buffers are a small part of a stage's working
-// set; modelling full address sharing would make every chunk a
-// cross-device granularity conflict, which the paper's scenarios do not
-// exhibit).
+// device class's slot and region (handoff buffers are a small part of a
+// stage's working set; modelling full address sharing would make every
+// chunk a cross-device granularity conflict, which the paper's scenarios
+// do not exhibit). Stage i replays its trace under Seed + i*104729. It
+// panics on an unknown workload name.
 func RunPipeline(p Pipeline, scheme core.Scheme, cfg Config) PipelineResult {
-	cfg = cfg.filled()
-	opts := cfg.Engine
-	opts.Devices = 4
-	if scheme == core.StaticDeviceBest && opts.StaticGran == nil {
-		// Per-device static granularity from standalone search per stage
-		// class (device indexes: CPU 0, GPU 1, NPU 2).
-		opts.StaticGran = bestStaticForPipeline(p, cfg)
-	}
-	eng := sim.NewEngine()
-	mm := mem.New(eng, *cfg.Mem)
-	en := core.New(eng, mm, cfg.RegionBytes, scheme, opts)
-
-	res := PipelineResult{Pipeline: p, Scheme: scheme}
-	var devs []device
+	ps := make([]placement, len(p.Stages))
 	for i, st := range p.Stages {
-		gen, err := workload.ByName(st.Workload, cfg.Scale, cfg.Seed+uint64(i)*104729)
-		if err != nil {
-			panic(err)
-		}
-		idx := deviceIndexFor(st.Class)
-		base := uint64(idx) * deviceStride
-		var d device
-		switch st.Class {
-		case workload.CPU:
-			d = cpu.New(eng, en, gen, idx, base)
-		case workload.GPU:
-			d = gpu.New(eng, en, gen, idx, base)
-		default:
-			d = npu.New(eng, en, gen, idx, base)
-		}
-		devs = append(devs, d)
-		d.Start()
+		ps[i] = placement{index: deviceIndexFor(st.Class), class: st.Class, workload: st.Workload, seed: cfg.Seed + uint64(i)*104729}
 	}
-	eng.RunAll()
-	en.Finish()
-	for i, d := range devs {
-		if !d.Done() {
-			panic(fmt.Sprintf("hetero: pipeline stage %s never drained", p.Stages[i].Workload))
-		}
-		res.StageEndPs = append(res.StageEndPs, d.FinishTime())
+	r, end := run(Scenario{ID: p.Name}, ps, scheme, cfg)
+	if r.Err != nil {
+		panic(r.Err)
 	}
-	res.TotalPs = eng.Now()
-	res.TotalBytes = mm.Stats.Bytes()
+	res := PipelineResult{Pipeline: p, Scheme: scheme, TotalPs: end, TotalBytes: r.TotalBytes}
+	for _, d := range r.Devices {
+		res.StageEndPs = append(res.StageEndPs, d.FinishPs)
+	}
 	return res
 }
 
@@ -128,17 +91,7 @@ func NormalizedPipeline(p Pipeline, scheme core.Scheme, cfg Config) float64 {
 	return sum / float64(len(res.StageEndPs))
 }
 
-// bestStaticForPipeline searches the best static granularity per stage's
-// device slot (CPU index 0, GPU 1, NPU 2).
-func bestStaticForPipeline(p Pipeline, cfg Config) []meta.Gran {
-	out := make([]meta.Gran, 4)
-	for _, st := range p.Stages {
-		idx := deviceIndexFor(st.Class)
-		out[idx] = bestStaticFor(st.Workload, idx, cfg)
-	}
-	return out
-}
-
+// deviceIndexFor is a device class's slot in the scenario layout.
 func deviceIndexFor(c workload.Class) int {
 	switch c {
 	case workload.CPU:

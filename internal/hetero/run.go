@@ -5,6 +5,7 @@ import (
 
 	"unimem/internal/core"
 	"unimem/internal/cpu"
+	"unimem/internal/device"
 	"unimem/internal/gpu"
 	"unimem/internal/mem"
 	"unimem/internal/meta"
@@ -36,8 +37,10 @@ type Config struct {
 	Collect bool
 	// NewProbe, when set, builds an additional probe for each measured run
 	// (warmup passes — static-best search, oracle profiling — never carry
-	// probes). It is called from the goroutine that executes the run;
-	// implementations handing out shared state must synchronize.
+	// probes); standalone and pipeline runs pass a Scenario holding only
+	// the workload or pipeline name as ID. It is called from the goroutine
+	// that executes the run; implementations handing out shared state must
+	// synchronize.
 	NewProbe func(sc Scenario, scheme core.Scheme) probe.Probe
 	// truncatePs, when positive, stops the measured run's event loop at
 	// that simulated time instead of draining it — a test hook for
@@ -94,10 +97,10 @@ type RunResult struct {
 	EngineDev []core.DeviceStats
 	// Probe is the run's reduced event stream (nil unless Config.Collect).
 	Probe *probe.Summary
-	// Err reports a run that could not complete — e.g. a device whose
-	// trace never drained (a truncated or deadlocked event loop). The
-	// remaining fields hold whatever progress was made; callers must treat
-	// them as partial when Err is non-nil.
+	// Err reports a run that could not complete — an unknown workload
+	// name, or a device whose trace never drained (a truncated or
+	// deadlocked event loop). The remaining fields hold whatever progress
+	// was made; callers must treat them as partial when Err is non-nil.
 	Err error
 }
 
@@ -112,151 +115,67 @@ func (r *RunResult) MaxFinish() sim.Time {
 	return m
 }
 
-// device abstracts the three models for the harness.
-type device interface {
-	Start()
-	Done() bool
-	FinishTime() sim.Time
-	Name() string
+// placement is one processing unit of a run: the device slot it occupies
+// (its engine device id and 1GB address quadrant), the device model placed
+// there, and the workload trace it replays under which seed. Scenarios,
+// standalone runs and pipelines differ only in the placements they build.
+type placement struct {
+	index    int
+	class    workload.Class
+	workload string
+	seed     uint64
 }
 
-// Run simulates one scenario under one scheme. A device that fails to
-// drain its trace (a truncated or deadlocked event loop) is reported
-// through RunResult.Err rather than a panic; the result still carries the
-// partial accounting.
+// place puts a workload in a device slot under the scenario and standalone
+// seed rule: slot i replays its trace under Seed + i*7919.
+func place(index int, class workload.Class, name string, seed uint64) placement {
+	return placement{index: index, class: class, workload: name, seed: seed + uint64(index)*7919}
+}
+
+// placements lays the scenario's devices out in slot order.
+func (s Scenario) placements(seed uint64) []placement {
+	specs := s.Devices()
+	ps := make([]placement, len(specs))
+	for i, d := range specs {
+		ps[i] = place(i, d.Class, d.Workload, seed)
+	}
+	return ps
+}
+
+// devices is the engine's device count for a set of placements.
+func devices(ps []placement) int {
+	n := 0
+	for _, p := range ps {
+		n = max(n, p.index+1)
+	}
+	return n
+}
+
+// Run simulates one scenario under one scheme. An unknown workload name
+// or a device that fails to drain its trace (a truncated or deadlocked
+// event loop) is reported through RunResult.Err rather than a panic; a
+// drain failure still carries the partial accounting.
 func Run(sc Scenario, scheme core.Scheme, cfg Config) RunResult {
-	cfg = cfg.filled()
-	specs := sc.Devices()
-	opts := cfg.Engine
-	opts.Devices = len(specs)
-	switch scheme {
-	case core.StaticDeviceBest:
-		if opts.StaticGran == nil {
-			opts.StaticGran = BestStaticGrans(sc, cfg)
-		}
-	case core.PerPartitionOracle:
-		if opts.FixedTable == nil {
-			opts.FixedTable = profileTable(sc, cfg)
-		}
-	}
-
-	col, prb := cfg.buildProbe(sc, scheme, len(specs))
-	opts.Probe = probe.Multi(opts.Probe, prb)
-
-	eng := sim.NewEngine()
-	mm := mem.New(eng, *cfg.Mem)
-	en := core.New(eng, mm, cfg.RegionBytes, scheme, opts)
-
-	devs, issued := buildDevices(eng, en, sc, cfg)
-	for _, d := range devs {
-		d.Start()
-	}
-	if cfg.truncatePs > 0 {
-		eng.Run(cfg.truncatePs)
-	} else {
-		eng.RunAll()
-	}
-	en.Finish()
-
-	res := RunResult{
-		Scenario:  sc,
-		Scheme:    scheme,
-		Devices:   make([]DeviceResult, len(devs)),
-		EngineDev: make([]core.DeviceStats, len(devs)),
-	}
-	if col != nil {
-		s := col.Summary
-		res.Probe = &s
-	}
-	for i, d := range devs {
-		if !d.Done() && res.Err == nil {
-			res.Err = fmt.Errorf("hetero: device %s never drained (%s, %v)", d.Name(), sc.ID, scheme)
-		}
-		res.Devices[i] = DeviceResult{
-			Name:     d.Name(),
-			Class:    specs[i].Class,
-			FinishPs: d.FinishTime(),
-			Issued:   issued[i](),
-		}
-	}
-	res.TotalBytes = mm.Stats.Bytes()
-	res.DataBytes = mm.Stats.BytesKind(mem.Data)
-	res.MetaBytes = mm.Stats.MetadataBytes()
-	res.SecCacheMisses = en.SecurityCacheMisses()
-	res.Switches = en.Stats.Switches
-	res.MeanWalk = en.MeanWalkLevels()
-	res.Detections = en.Stats.Detections
-	res.Latency = *en.Latencies()
-	for i := range res.EngineDev {
-		res.EngineDev[i] = en.DeviceStats(i)
-	}
+	res, _ := run(sc, sc.placements(cfg.Seed), scheme, cfg)
 	return res
 }
 
-// buildDevices instantiates the scenario's device mix from its specs.
-func buildDevices(eng *sim.Engine, en *core.Engine, sc Scenario, cfg Config) ([]device, []func() uint64) {
-	specs := sc.Devices()
-	devs := make([]device, len(specs))
-	issued := make([]func() uint64, len(specs))
-	for i, spec := range specs {
-		gen, err := workload.ByName(spec.Workload, cfg.Scale, cfg.Seed+uint64(i)*7919)
-		if err != nil {
-			panic(err)
-		}
-		base := uint64(i) * deviceStride
-		switch spec.Class {
-		case workload.CPU:
-			c := cpu.New(eng, en, gen, i, base)
-			devs[i] = c
-			issued[i] = func() uint64 { return c.Stats.Issued }
-		case workload.GPU:
-			g := gpu.New(eng, en, gen, i, base)
-			devs[i] = g
-			issued[i] = func() uint64 { return g.Stats.Issued }
-		default:
-			n := npu.New(eng, en, gen, i, base)
-			devs[i] = n
-			issued[i] = func() uint64 { return n.Stats.Issued }
+// run is the measured-run path behind Run, RunStandalone and RunPipeline:
+// it checks every workload name before any warmup runs, resolves the
+// scheme's warmup, attaches the probes, then simulates and measures. It
+// also returns the simulated time at which the event loop stopped.
+func run(sc Scenario, ps []placement, scheme core.Scheme, cfg Config) (RunResult, sim.Time) {
+	cfg = cfg.filled()
+	for _, p := range ps {
+		if _, err := workload.Lookup(p.workload); err != nil {
+			return RunResult{Scenario: sc, Scheme: scheme, Err: fmt.Errorf("hetero: %w", err)}, 0
 		}
 	}
-	return devs, issued
-}
-
-// --- memoized warmup passes ----------------------------------------------
-//
-// Static-device-best and Per-partition-best need an expensive warmup before
-// the measured run: an exhaustive per-granularity standalone search, or a
-// full oracle profiling pass. Both are pure functions of (workload-or-
-// scenario, Config), so they are memoized under the full config fingerprint
-// with singleflight semantics — the parallel sweep engine runs each warmup
-// once no matter how many workers need it, and configs differing in Seed,
-// RegionBytes, Mem or Engine never share entries.
-
-var (
-	staticBest       memo[meta.Gran]
-	profiledScenario memo[*meta.Table]
-	profiledAlone    memo[*meta.Table]
-)
-
-// resetWarmupCaches clears the memoized warmup passes (test hook).
-func resetWarmupCaches() {
-	staticBest.reset()
-	profiledScenario.reset()
-	profiledAlone.reset()
-}
-
-// warmupOpts derives the engine options of a warmup pass from the caller's
-// config: the warmup simulates the same engine (cache sizes, crypto
-// latencies, tracker) but owns its scheme-specific fields. Probes never
-// attach to warmups — their results are memoized and shared across runs,
-// so an observer bound to one caller would see another's pass.
-func warmupOpts(cfg Config, devices int) core.Options {
-	o := cfg.Engine
-	o.Devices = devices
-	o.StaticGran = nil
-	o.FixedTable = nil
-	o.Probe = nil
-	return o
+	cfg.Engine = warmup(ps, scheme, cfg)
+	col, prb := cfg.buildProbe(sc, scheme, devices(ps))
+	cfg.Engine.Probe = probe.Multi(cfg.Engine.Probe, prb)
+	s := simulate(ps, scheme, cfg)
+	return s.measure(sc, scheme, col), s.end
 }
 
 // buildProbe assembles a measured run's probe stack from the config: the
@@ -277,94 +196,182 @@ func (c Config) buildProbe(sc Scenario, scheme core.Scheme, devices int) (*probe
 	return col, probe.Multi(col, custom)
 }
 
-// profileTable runs the scenario once under Ours and returns the detected
-// granularity table with all pending switches committed — the
+// stack is one assembled and drained simulation.
+type stack struct {
+	ps   []placement
+	mm   *mem.Memory
+	en   *core.Engine
+	devs []*device.Issuer // index-aligned with ps
+	end  sim.Time         // simulated time the event loop stopped at
+}
+
+// simulate assembles the event engine, memory, protection engine (with
+// cfg.Engine's options) and one device model per placement, then drains
+// the event loop, or stops it at cfg.truncatePs. It is the one place a
+// simulation stack is built; cfg must be filled.
+func simulate(ps []placement, scheme core.Scheme, cfg Config) *stack {
+	eng := sim.NewEngine()
+	s := &stack{ps: ps, mm: mem.New(eng, *cfg.Mem), devs: make([]*device.Issuer, len(ps))}
+	opts := cfg.Engine
+	opts.Devices = devices(ps)
+	s.en = core.New(eng, s.mm, cfg.RegionBytes, scheme, opts)
+	for i, p := range ps {
+		gen, err := workload.ByName(p.workload, cfg.Scale, p.seed)
+		if err != nil {
+			panic(err) // run checks names first; only direct warmup callers get here
+		}
+		base := uint64(p.index) * deviceStride
+		switch p.class {
+		case workload.CPU:
+			s.devs[i] = cpu.New(eng, s.en, gen, p.index, base).Issuer
+		case workload.GPU:
+			s.devs[i] = gpu.New(eng, s.en, gen, p.index, base).Issuer
+		default:
+			s.devs[i] = npu.New(eng, s.en, gen, p.index, base).Issuer
+		}
+		s.devs[i].Start()
+	}
+	until := sim.MaxTime
+	if cfg.truncatePs > 0 {
+		until = cfg.truncatePs
+	}
+	s.end = eng.Run(until)
+	s.en.Finish()
+	return s
+}
+
+// measure reads a drained stack's outcome; col is the run's collector, if
+// any. A device that did not drain its trace is reported through Err.
+func (s *stack) measure(sc Scenario, scheme core.Scheme, col *probe.Collector) RunResult {
+	res := RunResult{
+		Scenario:       sc,
+		Scheme:         scheme,
+		Devices:        make([]DeviceResult, len(s.devs)),
+		TotalBytes:     s.mm.Stats.Bytes(),
+		DataBytes:      s.mm.Stats.BytesKind(mem.Data),
+		MetaBytes:      s.mm.Stats.MetadataBytes(),
+		SecCacheMisses: s.en.SecurityCacheMisses(),
+		Switches:       s.en.Stats.Switches,
+		MeanWalk:       s.en.MeanWalkLevels(),
+		Detections:     s.en.Stats.Detections,
+		Latency:        *s.en.Latencies(),
+		EngineDev:      make([]core.DeviceStats, len(s.devs)),
+	}
+	if col != nil {
+		sum := col.Summary
+		res.Probe = &sum
+	}
+	for i, d := range s.devs {
+		if !d.Done() && res.Err == nil {
+			res.Err = fmt.Errorf("hetero: device %s never drained (%s, %v)", d.Name(), sc.ID, scheme)
+		}
+		res.Devices[i] = DeviceResult{Name: d.Name(), Class: s.ps[i].class, FinishPs: d.FinishTime(), Issued: d.Stats.Issued}
+		res.EngineDev[i] = s.en.DeviceStats(s.ps[i].index)
+	}
+	return res
+}
+
+// --- memoized warmup passes ----------------------------------------------
+//
+// Static-device-best and Per-partition-best need an expensive warmup before
+// the measured run: an exhaustive per-granularity standalone search, or a
+// full oracle profiling pass. Both are pure functions of (placements,
+// Config), so they are memoized under the full config fingerprint with
+// singleflight semantics — the parallel sweep engine runs each warmup once
+// no matter how many workers need it, and configs differing in Seed,
+// RegionBytes, Mem or Engine never share entries.
+
+var (
+	staticBest memo[meta.Gran]
+	profiled   memo[*meta.Table]
+)
+
+// resetWarmupCaches clears the memoized warmup passes (test hook).
+func resetWarmupCaches() {
+	staticBest.reset()
+	profiled.reset()
+}
+
+// warmup returns the engine options of a scheme's measured run: the
+// caller's, plus the warmup result the scheme is charged for unless the
+// caller supplied one — the per-device static granularities of
+// Static-device-best, or the profiled table of Per-partition-best.
+func warmup(ps []placement, scheme core.Scheme, cfg Config) core.Options {
+	o := cfg.Engine
+	switch {
+	case scheme == core.StaticDeviceBest && o.StaticGran == nil:
+		o.StaticGran = staticGrans(ps, cfg)
+	case scheme == core.PerPartitionOracle && o.FixedTable == nil:
+		o.FixedTable = profileTable(ps, cfg)
+	}
+	return o
+}
+
+// bare derives a warmup pass's config from the caller's: the warmup
+// simulates the same system and engine (cache sizes, crypto latencies,
+// tracker) but owns its scheme-specific options, always drains, and never
+// carries probes — its result is memoized and shared across runs, so an
+// observer bound to one caller would see another's pass.
+func (c Config) bare() Config {
+	c.Engine.StaticGran, c.Engine.FixedTable, c.Engine.Probe = nil, nil, nil
+	c.truncatePs = 0
+	return c
+}
+
+// profileTable runs the placements once under Ours and returns the
+// detected granularity table with all pending switches committed — the
 // per-partition-best oracle of Fig. 6. The profiling pass is memoized per
-// (scenario workloads, config); each caller gets its own copy so the
-// engine owning it can never corrupt the shared profile.
-func profileTable(sc Scenario, cfg Config) *meta.Table {
+// (placements, config); each caller gets its own copy so the engine owning
+// it can never corrupt the shared profile.
+func profileTable(ps []placement, cfg Config) *meta.Table {
 	cfg = cfg.filled()
-	key := fmt.Sprintf("%v|%s", sc.Workloads(), cfg.fingerprint())
-	t := profiledScenario.do(key, func() *meta.Table { return RunWithTable(sc, cfg) })
+	key := fmt.Sprintf("%v|%s", ps, cfg.fingerprint())
+	t := profiled.do(key, func() *meta.Table {
+		return simulate(ps, core.Ours, cfg.bare()).en.Table()
+	})
 	return t.CloneCommitted()
 }
-
-// RunWithTable performs the oracle profiling pass.
-func RunWithTable(sc Scenario, cfg Config) *meta.Table {
-	cfg = cfg.filled()
-	eng := sim.NewEngine()
-	mm := mem.New(eng, *cfg.Mem)
-	en := core.New(eng, mm, cfg.RegionBytes, core.Ours, warmupOpts(cfg, len(sc.Devices())))
-	devs, _ := buildDevices(eng, en, sc, cfg)
-	for _, d := range devs {
-		d.Start()
-	}
-	eng.RunAll()
-	en.Finish()
-	return en.Table().CloneCommitted()
-}
-
-// --- static per-device exhaustive search ---------------------------------
 
 // BestStaticGrans runs each of the scenario's workloads standalone under
 // every static granularity and returns the per-device best (the
 // exhaustive warmup search the paper charges against Static-device-best).
+// It panics on an unknown workload name.
 func BestStaticGrans(sc Scenario, cfg Config) []meta.Gran {
-	cfg = cfg.filled()
-	specs := sc.Devices()
-	out := make([]meta.Gran, len(specs))
-	for i, spec := range specs {
-		out[i] = bestStaticFor(spec.Workload, i, cfg)
+	return staticGrans(sc.placements(cfg.Seed), cfg)
+}
+
+// staticGrans returns the best static granularity per device slot.
+func staticGrans(ps []placement, cfg Config) []meta.Gran {
+	out := make([]meta.Gran, devices(ps))
+	for _, p := range ps {
+		out[p.index] = bestStaticFor(p, cfg)
 	}
 	return out
 }
 
-// bestStaticFor memoizes the exhaustive search per (workload, device
-// index, config). The index is part of the key because it offsets the
-// trace seed and the device region base.
-func bestStaticFor(name string, index int, cfg Config) meta.Gran {
+// bestStaticFor memoizes the exhaustive search for one placement: its
+// workload runs standalone — on its own class's device model, in the
+// placement's slot, under the standalone seed rule — once per static
+// granularity. The slot is part of the key because it offsets the trace
+// seed and the address quadrant.
+func bestStaticFor(p placement, cfg Config) meta.Gran {
 	cfg = cfg.filled()
-	key := fmt.Sprintf("%s#%d|%s", name, index, cfg.fingerprint())
+	alone := []placement{place(p.index, workload.Profiles[p.workload].Class, p.workload, cfg.Seed)}
+	key := fmt.Sprintf("%v|%s", alone[0], cfg.fingerprint())
 	return staticBest.do(key, func() meta.Gran {
 		best, bestT := meta.Gran64, sim.MaxTime
+		w := cfg.bare()
 		for _, g := range meta.Grans {
-			if t := staticStandaloneTime(name, index, g, cfg); t < bestT {
+			w.Engine.StaticGran = make([]meta.Gran, p.index+1)
+			for i := range w.Engine.StaticGran {
+				w.Engine.StaticGran[i] = g
+			}
+			if t := simulate(alone, core.StaticDeviceBest, w).devs[0].FinishTime(); t < bestT {
 				best, bestT = g, t
 			}
 		}
 		return best
 	})
-}
-
-// staticStandaloneTime runs one workload alone under one static
-// granularity.
-func staticStandaloneTime(name string, index int, g meta.Gran, cfg Config) sim.Time {
-	eng := sim.NewEngine()
-	mm := mem.New(eng, *cfg.Mem)
-	static := make([]meta.Gran, index+1)
-	for i := range static {
-		static[i] = g
-	}
-	opts := warmupOpts(cfg, index+1)
-	opts.StaticGran = static
-	en := core.New(eng, mm, cfg.RegionBytes, core.StaticDeviceBest, opts)
-	gen, err := workload.ByName(name, cfg.Scale, cfg.Seed+uint64(index)*7919)
-	if err != nil {
-		panic(err)
-	}
-	base := uint64(index) * deviceStride
-	var d device
-	switch workload.Profiles[name].Class {
-	case workload.CPU:
-		d = cpu.New(eng, en, gen, index, base)
-	case workload.GPU:
-		d = gpu.New(eng, en, gen, index, base)
-	default:
-		d = npu.New(eng, en, gen, index, base)
-	}
-	d.Start()
-	eng.RunAll()
-	return d.FinishTime()
 }
 
 // StandaloneResult is a single-workload, single-device run outcome.
@@ -381,80 +388,23 @@ type StandaloneResult struct {
 
 // RunStandalone runs one workload alone on its device class behind the
 // protection engine — the single-processing-unit methodology of Fig. 4-6.
+// The workload takes its class's scenario slot (CPU 0, GPU 1, NPU 2) under
+// the scenario seed rule. It panics on an unknown workload name.
 func RunStandalone(name string, scheme core.Scheme, cfg Config) StandaloneResult {
-	cfg = cfg.filled()
-	opts := cfg.Engine
-	index := deviceIndexFor(workload.Profiles[name].Class)
-	opts.Devices = index + 1
-	switch scheme {
-	case core.StaticDeviceBest:
-		if opts.StaticGran == nil {
-			static := make([]meta.Gran, index+1)
-			static[index] = bestStaticFor(name, index, cfg)
-			opts.StaticGran = static
-		}
-	case core.PerPartitionOracle:
-		if opts.FixedTable == nil {
-			opts.FixedTable = profileStandalone(name, index, cfg)
-		}
+	class := workload.Profiles[name].Class
+	r, _ := run(Scenario{ID: name}, []placement{place(deviceIndexFor(class), class, name, cfg.Seed)}, scheme, cfg)
+	if r.Err != nil {
+		panic(r.Err)
 	}
-	col, prb := cfg.buildProbe(Scenario{ID: name}, scheme, index+1)
-	opts.Probe = probe.Multi(opts.Probe, prb)
-	eng := sim.NewEngine()
-	mm := mem.New(eng, *cfg.Mem)
-	en := core.New(eng, mm, cfg.RegionBytes, scheme, opts)
-	d := standaloneDevice(eng, en, name, index, cfg)
-	d.Start()
-	eng.RunAll()
-	en.Finish()
-	res := StandaloneResult{
+	return StandaloneResult{
 		Workload:   name,
 		Scheme:     scheme,
-		FinishPs:   d.FinishTime(),
-		TotalBytes: mm.Stats.Bytes(),
-		MetaBytes:  mm.Stats.MetadataBytes(),
-		Misses:     en.SecurityCacheMisses(),
+		FinishPs:   r.Devices[0].FinishPs,
+		TotalBytes: r.TotalBytes,
+		MetaBytes:  r.MetaBytes,
+		Misses:     r.SecCacheMisses,
+		Probe:      r.Probe,
 	}
-	if col != nil {
-		s := col.Summary
-		res.Probe = &s
-	}
-	return res
-}
-
-func standaloneDevice(eng *sim.Engine, en *core.Engine, name string, index int, cfg Config) device {
-	gen, err := workload.ByName(name, cfg.Scale, cfg.Seed+uint64(index)*7919)
-	if err != nil {
-		panic(err)
-	}
-	base := uint64(index) * deviceStride
-	switch workload.Profiles[name].Class {
-	case workload.CPU:
-		return cpu.New(eng, en, gen, index, base)
-	case workload.GPU:
-		return gpu.New(eng, en, gen, index, base)
-	default:
-		return npu.New(eng, en, gen, index, base)
-	}
-}
-
-// profileStandalone captures the detected granularity table of a
-// standalone Ours run (the per-partition-best oracle input of Fig. 6),
-// memoized like profileTable.
-func profileStandalone(name string, index int, cfg Config) *meta.Table {
-	cfg = cfg.filled()
-	key := fmt.Sprintf("%s#%d|%s", name, index, cfg.fingerprint())
-	t := profiledAlone.do(key, func() *meta.Table {
-		eng := sim.NewEngine()
-		mm := mem.New(eng, *cfg.Mem)
-		en := core.New(eng, mm, cfg.RegionBytes, core.Ours, warmupOpts(cfg, index+1))
-		d := standaloneDevice(eng, en, name, index, cfg)
-		d.Start()
-		eng.RunAll()
-		en.Finish()
-		return en.Table().CloneCommitted()
-	})
-	return t.CloneCommitted()
 }
 
 // FilledMem returns the memory configuration a run would use (the Orin

@@ -376,11 +376,20 @@ func Collect(g Generator) []Request {
 	}
 }
 
-// ByName instantiates a registered workload (see registry.go).
-func ByName(name string, scale float64, seed uint64) (Generator, error) {
+// Lookup returns a registered workload's profile (see registry.go).
+func Lookup(name string) (Profile, error) {
 	p, ok := Profiles[name]
 	if !ok {
-		return nil, fmt.Errorf("workload: unknown workload %q", name)
+		return Profile{}, fmt.Errorf("workload: unknown workload %q", name)
+	}
+	return p, nil
+}
+
+// ByName instantiates a registered workload.
+func ByName(name string, scale float64, seed uint64) (Generator, error) {
+	p, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return New(p, scale, seed), nil
 }
