@@ -1,19 +1,20 @@
 // Command mglint runs the repository's domain-aware static analyzers over
 // the module: the expression-local rules (magic-granularity, unit-mixing,
 // alignment, unchecked-return) and the module-wide dataflow rules
-// (unit-flow, determinism, probe-discipline, concurrency, hotpath-alloc) —
-// see internal/lint. It exits non-zero when any unsuppressed, un-baselined
-// finding remains, making it suitable as a CI gate:
+// (unit-flow, determinism, probe-discipline) — see internal/lint. It exits
+// non-zero when any unsuppressed, un-baselined finding remains, making it
+// suitable as a CI gate:
 //
-//	go run ./cmd/mglint -format sarif -baseline .mglint-baseline.json ./...
+//	go run ./cmd/mglint -baseline .mglint-baseline.json ./...
 //
 // Findings are suppressed in source with
 //
 //	//lint:ignore mglint/<rule> <reason>
 //
 // at the end of the offending line (covers that line only) or alone on the
-// line above it (covers the next line only). `mglint -suppressions` audits
-// the directives and reports the stale ones.
+// line above it (covers the next line only). A run of the full rule set also
+// reports every directive that suppressed nothing as a stale-suppression
+// finding; a -rules subset skips that audit.
 package main
 
 import (
@@ -41,8 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		format   = fs.String("format", "text", "output format: text, json, or sarif")
 		baseline = fs.String("baseline", "", "baseline file: findings listed there are accepted")
 		writeBl  = fs.Bool("write-baseline", false, "regenerate the -baseline file from the current findings and exit")
-		audit    = fs.Bool("suppressions", false, "audit //lint:ignore directives and report stale ones")
-		escape   = fs.Bool("escape", false, "hybrid mode: cross-check the hot-path alloc audit against `go build -gcflags=-m`")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: mglint [flags] [./...]\n\n")
@@ -73,35 +72,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var opts lint.Options
 	opts.Load.Tests = *tests
-	opts.Escape = *escape
 	if *rules != "" {
 		opts.Rules = strings.Split(*rules, ",")
-	}
-
-	if *audit {
-		// The stale-directive audit is only meaningful against the full
-		// rule set: a directive for a disabled rule is not stale.
-		if *rules != "" {
-			fmt.Fprintln(stderr, "mglint: -suppressions requires the full rule set (drop -rules)")
-			return 2
-		}
-		findings, stale, err := lint.RunAudit(root, opts.Load)
-		if err != nil {
-			fmt.Fprintln(stderr, "mglint:", err)
-			return 2
-		}
-		_ = findings // the audit reports directive health, not code health
-		if err := emit(stdout, *format, stale); err != nil {
-			fmt.Fprintln(stderr, "mglint:", err)
-			return 2
-		}
-		if len(stale) > 0 {
-			if !*quiet {
-				fmt.Fprintf(stderr, "mglint: %d stale suppression(s)\n", len(stale))
-			}
-			return 1
-		}
-		return 0
 	}
 
 	findings, err := lint.Run(root, opts)

@@ -27,7 +27,7 @@ func main() {
 		must(p.Write(uint64(2*unimem.ChunkSize+i*1536), buf))
 	}
 	// Flush tracker windows so the detections land.
-	p.FlushDetection()
+	must(p.FlushDetection())
 
 	fmt.Println("detected granularities (paper section 4.4):")
 	fmt.Printf("  streamed chunk      : %v\n", p.GranOf(0))

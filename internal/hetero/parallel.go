@@ -144,7 +144,6 @@ func SweepParallel(ctx context.Context, scs []Scenario, schemes []core.Scheme, c
 			results[j.sc].Scenario = scs[j.sc]
 			results[j.sc].Unsecure = base
 			for si := range list {
-				//lint:ignore mglint/concurrency pending counts every job up front and each send happens-before its own retire, so pending cannot reach 0 (the only close trigger) while a send remains
 				jobs <- job{sc: j.sc, scheme: si}
 			}
 		} else {
@@ -188,7 +187,6 @@ func SweepParallel(ctx context.Context, scs []Scenario, schemes []core.Scheme, c
 		}()
 	}
 	for i := range scs {
-		//lint:ignore mglint/concurrency baseline jobs are part of pending's up-front total, so the pending==0 close cannot precede these sends
 		jobs <- job{sc: i, scheme: -1}
 	}
 	wg.Wait()

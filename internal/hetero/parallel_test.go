@@ -68,7 +68,9 @@ func TestSweepParallelOrdering(t *testing.T) {
 
 // TestSweepParallelCancellation asserts both cancellation paths: a context
 // cancelled up front yields no work, and one cancelled mid-sweep stops at
-// the next run boundary with ctx.Err().
+// the next run boundary with ctx.Err(). "Stops" is checked by count: from
+// the cancel on, only the run whose callback cancelled and the runs already
+// in flight on the other workers may complete — at most workers runs.
 func TestSweepParallelCancellation(t *testing.T) {
 	scs := SampleScenarios(8)
 	schemes := []core.Scheme{core.Conventional, core.Ours}
@@ -85,12 +87,14 @@ func TestSweepParallelCancellation(t *testing.T) {
 
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	completed := 0
+	const workers = 2
+	completed, cancelledAt := 0, 0
 	rs, err = SweepParallel(ctx2, scs, schemes, parallelTestCfg, SweepOptions{
-		Workers: 2,
+		Workers: workers,
 		Progress: func(p SweepProgress) {
 			completed = p.Done
-			if p.Done >= 2 {
+			if p.Done >= 2 && cancelledAt == 0 {
+				cancelledAt = p.Done
 				cancel2()
 			}
 		},
@@ -103,6 +107,10 @@ func TestSweepParallelCancellation(t *testing.T) {
 	}
 	if completed < 2 {
 		t.Fatalf("progress reported %d completions before cancel", completed)
+	}
+	if after := completed - cancelledAt + 1; after > workers {
+		t.Fatalf("%d runs completed from the cancel on (%d of %d in all), want at most %d",
+			after, completed, len(scs)*(1+len(schemes)), workers)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -20,8 +21,6 @@ var fixtureRules = map[string][]string{
 	"unitflow":    {"unit-flow"},
 	"determinism": {"determinism"},
 	"probes":      {"probe-discipline"},
-	"concurrency": {"concurrency"},
-	"hotpath":     {"hotpath-alloc"},
 }
 
 // TestFixtures lints every testdata mini-module and compares the findings
@@ -78,8 +77,39 @@ func TestFixtures(t *testing.T) {
 			}
 		})
 	}
-	if ran < 10 {
-		t.Errorf("only %d fixtures ran, want at least 10", ran)
+	if ran < 2*len(fixtureRules) {
+		t.Errorf("only %d fixtures ran, want a bad and a clean twin per rule family (%d)", ran, 2*len(fixtureRules))
+	}
+}
+
+// TestJSONByteIdentical asserts the determinism contract on the dataflow
+// families' seeded fixtures: two independent runs must serialize to
+// byte-identical JSON.
+func TestJSONByteIdentical(t *testing.T) {
+	var prefixes []string
+	for prefix := range fixtureRules {
+		prefixes = append(prefixes, prefix)
+	}
+	sort.Strings(prefixes)
+	encode := func() []byte {
+		t.Helper()
+		var all []Finding
+		for _, prefix := range prefixes {
+			fs, err := Run(filepath.Join("testdata", prefix+"_bad"), Options{Rules: fixtureRules[prefix]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, fs...)
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, all); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := encode(), encode()
+	if !bytes.Equal(a, b) {
+		t.Errorf("JSON output differs between runs:\n--- first ---\n%s--- second ---\n%s", a, b)
 	}
 }
 

@@ -5,8 +5,11 @@
 // instead of magic literals, picosecond/cycle unit discipline, 64B address
 // alignment, no silently dropped errors, and the module-wide dataflow rules
 // (unit-flow, determinism, probe-discipline) built on the fact-propagation
-// engine in dataflow.go. cmd/mglint is the CLI driver; the runtime
-// counterpart of these compile-time rules is internal/check.
+// engine in dataflow.go. A run of the full rule set also reports every
+// //lint:ignore directive that suppressed nothing. Races and hot-path
+// allocations are left to tests (the -race runs and the scheme-wide
+// zero-alloc test in internal/core). cmd/mglint is the CLI driver; the
+// runtime counterpart of these compile-time rules is internal/check.
 package lint
 
 import (
@@ -62,8 +65,6 @@ func Analyzers() []Analyzer {
 		&UnitFlow{},
 		&Determinism{},
 		&ProbeDiscipline{},
-		&Concurrency{},
-		&HotPathAlloc{},
 	}
 }
 
@@ -83,14 +84,15 @@ type Options struct {
 	Load LoadOptions
 	// Rules restricts the rule set (nil = all).
 	Rules []string
-	// Escape enables the hot-path escape hybrid mode: cross-check the
-	// static alloc audit against `go build -gcflags=-m` diagnostics.
-	Escape bool
 }
 
 // Run lints the module containing root and returns unsuppressed findings
 // sorted by position, with filenames relative to the module root (stable
-// across checkouts, which the baseline and SARIF output rely on).
+// across checkouts, which the baseline and SARIF output rely on). A run of
+// the full rule set also audits the suppression directives: each one that
+// suppressed nothing is reported as a stale-suppression finding. A
+// restricted run skips the audit, since a directive for a disabled rule is
+// not stale.
 func Run(root string, opts Options) ([]Finding, error) {
 	absRoot, _, err := FindModuleRoot(root)
 	if err != nil {
@@ -100,33 +102,11 @@ func Run(root string, opts Options) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	escapeRoot := ""
-	if opts.Escape {
-		escapeRoot = absRoot
-	}
-	fs, _, err := check(pkgs, opts.Rules, false, escapeRoot)
+	fs, err := check(pkgs, opts.Rules)
 	if err != nil {
 		return nil, err
 	}
 	return RelativeTo(fs, absRoot), nil
-}
-
-// RunAudit lints like Run but with every rule enabled, returning both the
-// findings and the stale (unused) suppression directives.
-func RunAudit(root string, load LoadOptions) (findings, stale []Finding, err error) {
-	absRoot, _, err := FindModuleRoot(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	pkgs, err := Load(root, load)
-	if err != nil {
-		return nil, nil, err
-	}
-	findings, stale, err = check(pkgs, nil, true, "")
-	if err != nil {
-		return nil, nil, err
-	}
-	return RelativeTo(findings, absRoot), RelativeTo(stale, absRoot), nil
 }
 
 // RelativeTo rewrites finding filenames relative to root.
@@ -138,21 +118,12 @@ func RelativeTo(fs []Finding, root string) []Finding {
 	return fs
 }
 
-// Check runs the (optionally restricted) rule set over loaded packages.
-func Check(pkgs []*Package, rules []string) ([]Finding, error) {
-	fs, _, err := check(pkgs, rules, false, "")
-	return fs, err
-}
-
-// check is the shared driver: it resolves the rule set, collects raw
-// findings from per-package and module-wide analyzers, applies
-// suppressions (marking the directives that fired), and returns the
-// survivors sorted and deduplicated. With audit set, unused directives are
-// returned as stale findings — meaningful only when every rule ran, which
-// the caller must ensure (RunAudit passes rules=nil). A non-empty
-// escapeRoot additionally runs the compiler escape cross-check from that
-// module root when the hot-path rule is in the set.
-func check(pkgs []*Package, rules []string, audit bool, escapeRoot string) (findings, stale []Finding, err error) {
+// check is the driver: it resolves the rule set, collects raw findings
+// from per-package and module-wide analyzers, applies suppressions
+// (marking the directives that fired), and returns the survivors sorted
+// and deduplicated. When every rule ran, unused directives are added as
+// stale-suppression findings.
+func check(pkgs []*Package, rules []string) ([]Finding, error) {
 	var analyzers []Analyzer
 	if len(rules) == 0 {
 		analyzers = Analyzers()
@@ -160,7 +131,7 @@ func check(pkgs []*Package, rules []string, audit bool, escapeRoot string) (find
 		for _, name := range rules {
 			a, ok := AnalyzerByName(name)
 			if !ok {
-				return nil, nil, fmt.Errorf("lint: unknown rule %q", name)
+				return nil, fmt.Errorf("lint: unknown rule %q", name)
 			}
 			analyzers = append(analyzers, a)
 		}
@@ -184,27 +155,10 @@ func check(pkgs []*Package, rules []string, audit bool, escapeRoot string) (find
 			}
 		}
 	}
-	if escapeRoot != "" && ruleEnabled(analyzers, "hotpath-alloc") {
-		for _, f := range escapeCrossCheck(escapeRoot, pkgs) {
-			if !sup.covers(f) {
-				out = append(out, f)
-			}
-		}
+	if len(rules) == 0 {
+		out = append(out, sup.stale()...)
 	}
-	if audit {
-		stale = sup.stale()
-	}
-	return sortFindings(out), sortFindings(stale), nil
-}
-
-// ruleEnabled reports whether the resolved analyzer set contains a rule.
-func ruleEnabled(analyzers []Analyzer, name string) bool {
-	for _, a := range analyzers {
-		if a.Name() == name {
-			return true
-		}
-	}
-	return false
+	return sortFindings(out), nil
 }
 
 // sortFindings orders by (file, line, col, rule) and drops exact

@@ -1,33 +1,18 @@
 package lint
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
-// auditFiles is lintFiles' counterpart for RunAudit: it returns the stale
-// suppression findings of a throwaway module.
-func auditFiles(t *testing.T, files map[string]string) (findings, stale []Finding) {
+// staleOf lints a throwaway module with the full rule set, which audits
+// the suppression directives, and returns its stale-suppression findings.
+func staleOf(t *testing.T, files map[string]string) []Finding {
 	t.Helper()
-	root := t.TempDir()
-	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module unimem\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for name, src := range files {
-		path := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
+	var stale []Finding
+	for _, f := range lintFiles(t, files) {
+		if f.Rule == "stale-suppression" {
+			stale = append(stale, f)
 		}
 	}
-	findings, stale, err := RunAudit(root, LoadOptions{})
-	if err != nil {
-		t.Fatalf("audit run: %v", err)
-	}
-	return findings, stale
+	return stale
 }
 
 // TestEOLSuppressionCoversOnlyItsOwnLine is the regression test for the
@@ -68,7 +53,7 @@ func Mask2(addr uint64) uint64 { return addr &^ 63 }
 // TestStaleSuppressionAudit: a directive that suppresses nothing is stale;
 // one that fires is not.
 func TestStaleSuppressionAudit(t *testing.T) {
-	_, stale := auditFiles(t, map[string]string{
+	stale := staleOf(t, map[string]string{
 		"internal/core/a.go": `package core
 
 //lint:ignore mglint/magic-granularity obsolete: the literal is long gone
@@ -90,7 +75,7 @@ func Mask(addr uint64) uint64 { return addr &^ 63 }
 // end-of-line directive both cover one finding, only the first fires; the
 // duplicate must surface in the audit.
 func TestDuplicateSuppressionIsStale(t *testing.T) {
-	_, stale := auditFiles(t, map[string]string{
+	stale := staleOf(t, map[string]string{
 		"internal/core/a.go": `package core
 
 //lint:ignore mglint/magic-granularity documented raw relationship

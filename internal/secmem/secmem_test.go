@@ -180,6 +180,28 @@ func TestPromotionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFailedPromotionLeavesImageIntact: a switch that fails verification
+// part-way must leave the image as it found it. Tampering partition 1 makes
+// Promote(0, 0, 2) fail on block 8, after partition 0's units verified;
+// their MAC slots must survive, so partition 0 still reads back.
+func TestFailedPromotionLeavesImageIntact(t *testing.T) {
+	m := newMem()
+	for b := 0; b < 2*meta.BlocksPerPartition; b++ {
+		mustWrite(t, m, uint64(b*meta.BlockSize), block(byte(b)))
+	}
+	m.TamperData(meta.PartitionSize)
+	pre := m.Snapshot()
+	if err := m.Promote(0, 0, 2); !errors.Is(err, ErrMAC) {
+		t.Fatalf("Promote over a tampered partition: err = %v, want ErrMAC", err)
+	}
+	if !m.Snapshot().Equal(pre) {
+		t.Error("failed promotion changed the off-chip image")
+	}
+	if got := mustRead(t, m, 0); !bytes.Equal(got, block(0)) {
+		t.Error("untampered block 0 reads back wrong after the failed promotion")
+	}
+}
+
 func TestPromotionBumpsCounter(t *testing.T) {
 	// Fig. 13(a): parent counter = max(leaf counters)+1.
 	m := newMem()

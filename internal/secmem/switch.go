@@ -72,6 +72,10 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 				plains[a] = m.eng.Open(a, eff, ct[:])
 			}
 		}
+	}
+	// Only now that every old unit verified may their MAC slots go: a
+	// failure above must leave the image exactly as it was.
+	for base := range oldUnits {
 		delete(m.macs, m.unitMACAddr(base, oldSP))
 	}
 	// oldOf returns the old unit covering addr.

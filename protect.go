@@ -1,6 +1,7 @@
 package unimem
 
 import (
+	"fmt"
 	"io"
 
 	"unimem/internal/meta"
@@ -54,29 +55,44 @@ func NewProtected(size uint64, seed uint64) *Protected {
 }
 
 // Write stores one aligned 64B block of plaintext. Writes into a
-// coarse-grained unit re-encrypt the unit under a fresh shared counter.
+// coarse-grained unit re-encrypt the unit under a fresh shared counter. If
+// the access triggers a granularity switch that fails verification, Write
+// returns that error and does not write.
 func (p *Protected) Write(addr uint64, plaintext []byte) error {
-	p.track(addr)
+	if err := p.track(addr); err != nil {
+		return err
+	}
 	return p.mem.Write(addr, plaintext)
 }
 
 // Read fetches and verifies one aligned 64B block, returning its
 // plaintext. It fails with ErrMAC or ErrTree when the off-chip image was
-// corrupted.
+// corrupted, including when the granularity switch the access triggers
+// fails verification; then it does not read.
 func (p *Protected) Read(addr uint64) ([]byte, error) {
-	p.track(addr)
+	if err := p.track(addr); err != nil {
+		return nil, err
+	}
 	return p.mem.Read(addr)
 }
 
 // track feeds the built-in access tracker; detections adjust granularity
 // automatically, mirroring the hardware's dynamic management.
-func (p *Protected) track(addr uint64) {
+func (p *Protected) track(addr uint64) error {
 	p.now += 1000 // one access per modeled cycle is enough for detection
-	for _, det := range p.trk.AccessRange(addr, meta.BlockSize, simTime(p.now)) {
-		// Functional layer applies detections eagerly; the timing layer
-		// models the lazy variant.
-		_ = p.mem.ApplyDetection(det.Chunk, det.Stream)
+	return p.apply(p.trk.AccessRange(addr, meta.BlockSize, simTime(p.now)))
+}
+
+// apply switches granularity for each detection and returns the first
+// switch that fails verification. The functional layer applies detections
+// eagerly; the timing layer models the lazy variant.
+func (p *Protected) apply(dets []tracker.Detection) error {
+	for _, det := range dets {
+		if err := p.mem.ApplyDetection(det.Chunk, det.Stream); err != nil {
+			return fmt.Errorf("unimem: granularity switch of chunk %d: %w", det.Chunk, err)
+		}
 	}
+	return nil
 }
 
 // GranOf reports the current protection granularity covering addr.
@@ -124,12 +140,9 @@ type Snapshot struct {
 
 // FlushDetection force-evicts all access-tracker windows so pending
 // granularity detections apply immediately (hardware does this with
-// window-lifetime expiry; tests and demos use it to avoid waiting).
-func (p *Protected) FlushDetection() {
-	for _, det := range p.trk.Flush() {
-		_ = p.mem.ApplyDetection(det.Chunk, det.Stream)
-	}
-}
+// window-lifetime expiry; tests and demos use it to avoid waiting). It
+// returns the first switch that fails verification.
+func (p *Protected) FlushDetection() error { return p.apply(p.trk.Flush()) }
 
 // Save writes the off-chip image (ciphertext, MACs, tree, granularity
 // table) to w and returns the on-chip root counters; persist the roots in

@@ -64,6 +64,34 @@ func TestProtectedAutoPromotion(t *testing.T) {
 	}
 }
 
+// TestProtectedSwitchErrorSurfaces: a granularity switch triggered by an
+// access verifies the units it regroups. When that fails, the access must
+// return the error and not happen: block 1 is tampered early in a chunk
+// stream, and the write whose access promotes the chunk reports ErrMAC.
+func TestProtectedSwitchErrorSurfaces(t *testing.T) {
+	p := NewProtected(1<<20, 5)
+	blk := make([]byte, BlockSize)
+	last := ChunkSize/BlockSize - 1
+	for i := 0; i < last; i++ {
+		if err := p.Write(uint64(i)*BlockSize, blk); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if i == 5 {
+			p.TamperData(BlockSize)
+		}
+	}
+	pre := p.mem.Snapshot()
+	if err := p.Write(uint64(last)*BlockSize, blk); !errors.Is(err, ErrMAC) {
+		t.Fatalf("write %d, which promotes the tampered chunk: err = %v, want ErrMAC", last, err)
+	}
+	if !p.mem.Snapshot().Equal(pre) {
+		t.Error("the failed write changed the off-chip image")
+	}
+	if g := p.GranOf(0); g != Gran64 {
+		t.Errorf("gran after the failed promotion = %v, want 64B", g)
+	}
+}
+
 func TestProtectedManualSwitching(t *testing.T) {
 	p := NewProtected(1<<20, 3)
 	if err := p.Promote(0, 0, 8); err != nil {
