@@ -15,9 +15,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Full rule set (expression-local + dataflow families) gated on the
-# checked-in baseline: a finding not listed there fails the build. The full
-# run also reports stale (unused) //lint:ignore directives as findings.
+# Full rule set gated on the checked-in baseline: a finding not listed
+# there fails the build. The full run also reports stale (unused)
+# //lint:ignore directives as findings.
 lint:
 	$(GO) run ./cmd/mglint -baseline .mglint-baseline.json ./...
 
@@ -64,20 +64,19 @@ cover:
 		if (t+0 > f+2.0) { printf "note: coverage is %.1f%%; consider raising coverage-floor.txt\n", t } }'
 
 # Mutation-testing gate (see cmd/mgmutate and DESIGN.md "Mutation
-# testing"). Audits //mutate:ignore directives first (stale or unreasoned
-# ones fail), then runs the seeded deterministic sample over the five
+# testing"). The run first audits the //mutate:ignore directives against
+# the full site set (stale or unreasoned ones fail before any mutant is
+# built), then runs the seeded deterministic sample over the five
 # security-critical packages: same seed, byte-identical report. Fails on a
 # per-package score below mutation-floor.txt or on any untriaged survivor.
 # CI uploads mgmutate-report.json as an artifact.
 mutate:
-	$(GO) run ./cmd/mgmutate -suppressions ./...
 	$(GO) run ./cmd/mgmutate -sample 12 -seed 1 -short -tags invariants -v \
 		-floor mutation-floor.txt -no-survivors -o mgmutate-report.json ./...
 
 # Exhaustive tier: every derivable mutant, no sampling. Slow; run before
 # raising mutation-floor.txt or after reworking a target package.
 mutate-full:
-	$(GO) run ./cmd/mgmutate -suppressions ./...
 	$(GO) run ./cmd/mgmutate -short -tags invariants -v \
 		-floor mutation-floor.txt -no-survivors -o mgmutate-full.json ./...
 

@@ -1,9 +1,8 @@
 // Command mglint runs the repository's domain-aware static analyzers over
-// the module: the expression-local rules (magic-granularity, unit-mixing,
-// alignment, unchecked-return) and the module-wide dataflow rules
-// (unit-flow, determinism, probe-discipline) — see internal/lint. It exits
-// non-zero when any unsuppressed, un-baselined finding remains, making it
-// suitable as a CI gate:
+// the module: the expression-local rules magic-granularity, unit-mixing,
+// alignment and unchecked-return (see internal/lint). It exits non-zero
+// when any unsuppressed, un-baselined finding remains, making it suitable
+// as a CI gate:
 //
 //	go run ./cmd/mglint -baseline .mglint-baseline.json ./...
 //
@@ -39,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rules    = fs.String("rules", "", "comma-separated rule subset (default: all)")
 		list     = fs.Bool("list", false, "list available rules and exit")
 		quiet    = fs.Bool("q", false, "suppress the finding count summary")
-		format   = fs.String("format", "text", "output format: text, json, or sarif")
+		format   = fs.String("format", "text", "output format: text or json")
 		baseline = fs.String("baseline", "", "baseline file: findings listed there are accepted")
 		writeBl  = fs.Bool("write-baseline", false, "regenerate the -baseline file from the current findings and exit")
 	)
@@ -133,9 +132,7 @@ func emit(w io.Writer, format string, findings []lint.Finding) error {
 		return nil
 	case "json":
 		return lint.WriteJSON(w, findings)
-	case "sarif":
-		return lint.WriteSARIF(w, findings)
 	default:
-		return fmt.Errorf("unknown -format %q (want text, json, or sarif)", format)
+		return fmt.Errorf("unknown -format %q (want text or json)", format)
 	}
 }

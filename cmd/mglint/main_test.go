@@ -8,8 +8,28 @@ import (
 	"testing"
 )
 
-// fixture is the seeded-violation mini-module the CLI tests drive.
-const fixture = "../../internal/lint/testdata/determinism_bad"
+// writeModule writes a throwaway module named unimem holding one file,
+// internal/core/a.go, and returns its root.
+func writeModule(t *testing.T, src string) string {
+	t.Helper()
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module unimem\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "internal", "core")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
+// badModule holds one magic-granularity finding.
+func badModule(t *testing.T) string {
+	return writeModule(t, "package core\n\nfunc Mask(addr uint64) uint64 { return addr &^ 63 }\n")
+}
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
@@ -19,39 +39,27 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 }
 
 func TestRunTextFormatExitsNonZeroOnFindings(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-rules", "determinism", fixture+"/...")
+	code, stdout, _ := runCLI(t, "-rules", "magic-granularity", badModule(t)+"/...")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	if !strings.Contains(stdout, "mglint/determinism") {
+	if !strings.Contains(stdout, "mglint/magic-granularity") {
 		t.Errorf("text output missing findings:\n%s", stdout)
 	}
 }
 
 func TestRunJSONFormat(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-format", "json", "-rules", "determinism", fixture)
+	code, stdout, _ := runCLI(t, "-format", "json", "-rules", "magic-granularity", badModule(t))
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	if !strings.HasPrefix(stdout, "[\n") || !strings.Contains(stdout, `"rule": "determinism"`) {
+	if !strings.HasPrefix(stdout, "[\n") || !strings.Contains(stdout, `"rule": "magic-granularity"`) {
 		t.Errorf("unexpected JSON output:\n%s", stdout)
 	}
 }
 
-func TestRunSARIFFormat(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-format", "sarif", "-rules", "determinism", fixture)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	for _, frag := range []string{"sarif-2.1.0", `"ruleId": "mglint/determinism"`, `"startLine"`} {
-		if !strings.Contains(stdout, frag) {
-			t.Errorf("SARIF output missing %q:\n%s", frag, stdout)
-		}
-	}
-}
-
 func TestRunUnknownFormatErrors(t *testing.T) {
-	code, _, stderr := runCLI(t, "-format", "yaml", fixture)
+	code, _, stderr := runCLI(t, "-format", "sarif", badModule(t))
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
 	}
@@ -62,9 +70,10 @@ func TestRunUnknownFormatErrors(t *testing.T) {
 
 func TestBaselineRoundTrip(t *testing.T) {
 	bl := filepath.Join(t.TempDir(), "baseline.json")
+	root := badModule(t)
 
-	// Regenerate the baseline from the fixture's findings...
-	code, _, stderr := runCLI(t, "-rules", "determinism", "-baseline", bl, "-write-baseline", fixture)
+	// Regenerate the baseline from the module's findings...
+	code, _, stderr := runCLI(t, "-rules", "magic-granularity", "-baseline", bl, "-write-baseline", root)
 	if code != 0 {
 		t.Fatalf("write-baseline exit = %d, stderr: %s", code, stderr)
 	}
@@ -73,7 +82,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 
 	// ...after which the same run gates clean.
-	code, stdout, _ := runCLI(t, "-rules", "determinism", "-baseline", bl, fixture)
+	code, stdout, _ := runCLI(t, "-rules", "magic-granularity", "-baseline", bl, root)
 	if code != 0 {
 		t.Fatalf("baselined run exit = %d, stdout:\n%s", code, stdout)
 	}
@@ -83,22 +92,11 @@ func TestBaselineRoundTrip(t *testing.T) {
 }
 
 func TestSuppressionsAuditMode(t *testing.T) {
-	root := t.TempDir()
-	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module unimem\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(root, "internal", "core")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := `package core
+	root := writeModule(t, `package core
 
 //lint:ignore mglint/magic-granularity obsolete: nothing left to suppress
 func ID(addr uint64) uint64 { return addr }
-`
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`)
 	// A plain run of the full rule set audits the directives.
 	code, stdout, _ := runCLI(t, root)
 	if code != 1 {
@@ -120,9 +118,12 @@ func TestListRules(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, rule := range []string{"unit-flow", "determinism", "probe-discipline", "magic-granularity"} {
-		if !strings.Contains(stdout, rule) {
-			t.Errorf("-list output missing %q:\n%s", rule, stdout)
-		}
+	var rules []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
+		rules = append(rules, strings.Fields(line)[0])
+	}
+	want := "magic-granularity,unit-mixing,alignment,unchecked-return"
+	if got := strings.Join(rules, ","); got != want {
+		t.Errorf("-list rules = %s, want %s", got, want)
 	}
 }

@@ -19,12 +19,17 @@
 //	-o file         write the JSON report here
 //	-floor file     gate per-package scores against a floor file
 //	-no-survivors   fail if any surviving mutant is untriaged
-//	-suppressions   audit //mutate:ignore directives instead of running
 //	-v              per-mutant progress on stderr
 //	-q              suppress the summary on stdout
 //
-// Exit codes: 0 clean, 1 gate failure (floor regression, untriaged
-// survivors, stale or malformed directives), 2 usage or load error.
+// Every run first checks the //mutate:ignore directives of the target
+// packages. A malformed directive fails the run. A run of every operator
+// (no -ops) also matches the directives against the full, unsampled site
+// set and fails on any directive that covers no site. Both failures exit 1
+// before any mutant is built.
+//
+// Exit codes: 0 clean, 1 gate failure (stale or malformed directives,
+// floor regression, untriaged survivors), 2 usage or load error.
 package main
 
 import (
@@ -51,21 +56,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mgmutate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		pkgsFlag     = fs.String("pkgs", defaultPkgs, "comma-separated target packages (suffix match)")
-		opsFlag      = fs.String("ops", "", "comma-separated operator names (default: all)")
-		list         = fs.Bool("list", false, "print the operator table and exit")
-		sample       = fs.Int("sample", 0, "mutants per package (0 = all), seeded deterministic sample")
-		seed         = fs.Uint64("seed", 1, "sample seed")
-		timeout      = fs.Duration("timeout", 2*time.Minute, "per-test-invocation deadline")
-		workers      = fs.Int("workers", 0, "parallel mutants (0 = NumCPU/2)")
-		short        = fs.Bool("short", false, "pass -short to routed test packages")
-		tags         = fs.String("tags", "", "pass -tags to routed test packages (e.g. invariants)")
-		out          = fs.String("o", "", "write the JSON report to this file")
-		floorFile    = fs.String("floor", "", "gate per-package scores against this floor file")
-		noSurvivors  = fs.Bool("no-survivors", false, "fail if any surviving mutant is untriaged")
-		suppressions = fs.Bool("suppressions", false, "audit //mutate:ignore directives instead of running")
-		verbose      = fs.Bool("v", false, "per-mutant progress on stderr")
-		quiet        = fs.Bool("q", false, "suppress the summary on stdout")
+		pkgsFlag    = fs.String("pkgs", defaultPkgs, "comma-separated target packages (suffix match)")
+		opsFlag     = fs.String("ops", "", "comma-separated operator names (default: all)")
+		list        = fs.Bool("list", false, "print the operator table and exit")
+		sample      = fs.Int("sample", 0, "mutants per package (0 = all), seeded deterministic sample")
+		seed        = fs.Uint64("seed", 1, "sample seed")
+		timeout     = fs.Duration("timeout", 2*time.Minute, "per-test-invocation deadline")
+		workers     = fs.Int("workers", 0, "parallel mutants (0 = NumCPU/2)")
+		short       = fs.Bool("short", false, "pass -short to routed test packages")
+		tags        = fs.String("tags", "", "pass -tags to routed test packages (e.g. invariants)")
+		out         = fs.String("o", "", "write the JSON report to this file")
+		floorFile   = fs.String("floor", "", "gate per-package scores against this floor file")
+		noSurvivors = fs.Bool("no-survivors", false, "fail if any surviving mutant is untriaged")
+		verbose     = fs.Bool("v", false, "per-mutant progress on stderr")
+		quiet       = fs.Bool("q", false, "suppress the summary on stdout")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -125,35 +129,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	ignores, err := mutate.ParseIgnores(m, targets)
-	if err != nil {
-		fmt.Fprintf(stderr, "mgmutate: %v\n", err)
-		return 2
-	}
+	ignores := mutate.ParseIgnores(m, targets)
 	sites := m.CollectSites(targets, ops)
-
-	if *suppressions {
-		bad := append([]string{}, ignores.Malformed...)
-		// Covering runs over the full site set so staleness is judged
-		// against everything derivable, not a sample.
+	bad := append([]string{}, ignores.Malformed...)
+	if *opsFlag == "" {
+		// Staleness is judged against every derivable site, not a sample;
+		// an operator subset cannot judge it at all.
 		for _, s := range sites {
 			ignores.Covers(s)
 		}
 		bad = append(bad, ignores.Stale(m)...)
-		for _, msg := range bad {
-			fmt.Fprintln(stdout, msg)
-		}
-		if len(bad) > 0 {
-			return 1
-		}
-		if !*quiet {
-			fmt.Fprintln(stdout, "mgmutate: all mutate:ignore directives are live and well-formed")
-		}
-		return 0
 	}
-
-	if len(ignores.Malformed) > 0 {
-		for _, msg := range ignores.Malformed {
+	if len(bad) > 0 {
+		for _, msg := range bad {
 			fmt.Fprintln(stderr, msg)
 		}
 		return 1

@@ -34,13 +34,18 @@ func TestUnknownPackage(t *testing.T) {
 	}
 }
 
+// TestSuppressionsAuditFindsStale: a plain run audits the directives and
+// stops at the fixture's stale one before building any mutant.
 func TestSuppressionsAuditFindsStale(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	code := run([]string{"-suppressions", "-pkgs", "mutmod", fixtureRoot}, &out, &errBuf)
+	code := run([]string{"-pkgs", "mutmod", fixtureRoot}, &out, &errBuf)
 	if code != 1 {
 		t.Fatalf("fixture has a stale directive; want exit 1, got %d (out=%s err=%s)", code, out.String(), errBuf.String())
 	}
-	if !strings.Contains(out.String(), "stale mutate:ignore") {
-		t.Errorf("audit output missing stale message: %s", out.String())
+	if !strings.Contains(errBuf.String(), "stale mutate:ignore") {
+		t.Errorf("audit output missing stale message: %s", errBuf.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("run went on past the audit and printed:\n%s", out.String())
 	}
 }

@@ -103,7 +103,7 @@ func SweepParallel(ctx context.Context, scs []Scenario, schemes []core.Scheme, c
 		}
 	}
 
-	start := time.Now() //lint:ignore mglint/determinism wall clock feeds only the Progress callback (ETA display), never a result
+	start := time.Now() // wall clock feeds only the Progress callback (ETA display), never a result
 	done := 0
 	var firstErr error
 	fail := func(err error) {
@@ -117,7 +117,6 @@ func SweepParallel(ctx context.Context, scs []Scenario, schemes []core.Scheme, c
 	complete := func() {
 		mu.Lock()
 		done++
-		//lint:ignore mglint/determinism elapsed wall time is progress-report cosmetics; sweep results never depend on it
 		p := SweepProgress{Done: done, Total: total, Elapsed: time.Since(start)}
 		if done < total {
 			p.ETA = p.Elapsed / time.Duration(done) * time.Duration(total-done)

@@ -38,8 +38,6 @@ type LoadOptions struct {
 	// Tests includes _test.go files (external test packages are still
 	// skipped: they cannot be merged into the package under test).
 	Tests bool
-	// BuildTags are extra build tags considered satisfied.
-	BuildTags []string
 }
 
 // loader loads and type-checks every package of one module from source,
@@ -172,9 +170,8 @@ func (ld *loader) dirFor(path string) string {
 	return filepath.Join(ld.root, filepath.FromSlash(rel))
 }
 
-// tagSatisfied evaluates one build-constraint tag against the load
-// configuration: target platform, toolchain release tags, and any extra
-// tags from LoadOptions.
+// tagSatisfied evaluates one build-constraint tag against the default build
+// configuration: target platform and toolchain release tags.
 func (ld *loader) tagSatisfied(tag string) bool {
 	switch tag {
 	case runtime.GOOS, runtime.GOARCH, "gc":
@@ -184,11 +181,6 @@ func (ld *loader) tagSatisfied(tag string) bool {
 		// All release tags up to the running toolchain are satisfied;
 		// parsing runtime.Version precisely is overkill for a lint pass.
 		return true
-	}
-	for _, t := range ld.opts.BuildTags {
-		if t == tag {
-			return true
-		}
 	}
 	return false
 }
@@ -239,7 +231,6 @@ func (ld *loader) loadPath(path string) (*Package, error) {
 		return nil, err
 	}
 	var files []*ast.File
-	var names []string
 	pkgName := ""
 	for _, e := range ents {
 		name := e.Name()
@@ -267,13 +258,11 @@ func (ld *loader) loadPath(path string) (*Package, error) {
 			pkgName = f.Name.Name
 		}
 		files = append(files, f)
-		names = append(names, name)
 	}
 	if len(files) == 0 {
 		ld.pkgs[path] = nil
 		return nil, nil
 	}
-	_ = names
 
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},

@@ -5,11 +5,11 @@ import (
 	"io"
 )
 
-// Machine-readable output. Both encoders are deterministic: findings are
-// already sorted by (file, line, col, rule, msg), the structs below have a
+// Machine-readable output. The encoder is deterministic: findings are
+// already sorted by (file, line, col, rule, msg), the struct below has a
 // fixed field order, and encoding/json emits struct fields in declaration
 // order — so two runs over the same tree produce byte-identical bytes,
-// which the baseline diffing and CI artifact comparison rely on.
+// which baseline diffing relies on.
 
 // jsonFinding is the stable JSON shape of one finding.
 type jsonFinding struct {
@@ -33,96 +33,4 @@ func WriteJSON(w io.Writer, fs []Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// Minimal SARIF 2.1.0 shapes — just enough for code-scanning upload and
-// artifact diffing, with no external schema dependency.
-
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID   string    `json:"id"`
-	Desc sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	Physical sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	Artifact sarifArtifact `json:"artifactLocation"`
-	Region   sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// WriteSARIF renders findings as a single-run SARIF 2.1.0 log with the full
-// rule catalogue in the driver section.
-func WriteSARIF(w io.Writer, fs []Finding) error {
-	rules := make([]sarifRule, 0, len(Analyzers()))
-	for _, a := range Analyzers() {
-		rules = append(rules, sarifRule{
-			ID:   "mglint/" + a.Name(),
-			Desc: sarifText{Text: a.Doc()},
-		})
-	}
-	results := make([]sarifResult, 0, len(fs))
-	for _, f := range fs {
-		results = append(results, sarifResult{
-			RuleID:  "mglint/" + f.Rule,
-			Level:   "error",
-			Message: sarifText{Text: f.Msg},
-			Locations: []sarifLocation{{Physical: sarifPhysical{
-				Artifact: sarifArtifact{URI: f.Pos.Filename},
-				Region:   sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-			}}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "mglint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }

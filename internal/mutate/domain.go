@@ -13,8 +13,8 @@ import (
 
 // The domain tier encodes the defect classes the paper's multi-granular
 // MAC + integrity tree must catch, seeded from two authorities: the
-// unit-fact lattice of internal/lint (which declares the address/index
-// domain of every geometry helper) and the protection engine's policy
+// unit-fact seeds (seeds.go, which declare the address/index domain of
+// every geometry helper) and the protection engine's policy
 // surface (verify/seal/commit/promote names in secmem, core and meta).
 // These are exactly the failure modes the related work documents — the
 // MGX version-elision and the SecDDR MAC-only-path gaps — plus the TOCTOU
@@ -24,14 +24,14 @@ import (
 // analysis (fixture modules mirror the internal/ layout).
 const metaPathSuffix = "/internal/meta"
 
-// factSig is the unit-domain shape of a function: the lattice facts of its
-// parameters and results, FactNone where unconstrained.
+// factSig is the unit-domain shape of a function: the seeded facts of its
+// parameters and results, factNone where unconstrained.
 type factSig struct {
 	params  string
 	results string
 }
 
-// swapPartners derives the unit-swap table from the lattice: two functions
+// swapPartners derives the unit-swap table from the seeds: two functions
 // (or two methods of one type) with identical Go signatures but different
 // unit-fact shapes are a granularity-index mixup the compiler cannot see.
 // For each such function the partner is the first differing candidate in
@@ -102,21 +102,21 @@ func (m *Module) swapPartners() map[*types.Func]*types.Func {
 }
 
 // factSigOf renders a signature's unit-fact shape; known is false when no
-// parameter or result carries lattice evidence (such functions are not
+// parameter or result carries a seeded fact (such functions are not
 // swap candidates).
 func (m *Module) factSigOf(sig *types.Signature) (factSig, bool) {
 	known := false
 	var fs factSig
 	for i := 0; i < sig.Params().Len(); i++ {
 		f := m.seeds[sig.Params().At(i)]
-		if f != lint.FactNone {
+		if f != factNone {
 			known = true
 		}
 		fs.params += f.String() + ","
 	}
 	for i := 0; i < sig.Results().Len(); i++ {
 		f := m.seeds[sig.Results().At(i)]
-		if f != lint.FactNone {
+		if f != factNone {
 			known = true
 		}
 		fs.results += f.String() + ","
@@ -131,7 +131,7 @@ func plainSig(sig *types.Signature) string {
 }
 
 // UnitSwap swaps byte/block/partition/chunk index domains: calls to
-// geometry helpers are redirected to a lattice-differentiated twin with an
+// geometry helpers are redirected to a twin with different unit facts and an
 // identical Go signature, and geometry constants are replaced by a
 // different-domain constant (an Eq. 1-4 conversion-factor mixup).
 type UnitSwap struct{}
@@ -144,7 +144,7 @@ func (*UnitSwap) Tier() string { return "domain" }
 
 // Doc implements Operator.
 func (*UnitSwap) Doc() string {
-	return "swap byte/block/partition/chunk index helpers and geometry constants (unit-fact lattice)"
+	return "swap byte/block/partition/chunk index helpers and geometry constants (unit-fact seeds)"
 }
 
 // constPartner swaps a geometry constant for one from a different unit

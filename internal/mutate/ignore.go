@@ -8,32 +8,18 @@ import (
 	"unimem/internal/lint"
 )
 
-// Ignore directives follow the lint suppression contract exactly:
+// Ignore directives are lint.Directives, the scanner mglint's suppressions
+// use:
 //
 //	//mutate:ignore <operator|all> <reason>
 //
 // An end-of-line directive covers mutants on its own line; a standalone
 // directive covers the next line. The reason is mandatory — a directive
 // without one is an error, not a silent pass — and directives that cover
-// nothing are reported stale by the -suppressions audit so equivalent-
+// nothing are reported stale by every full mgmutate run, so equivalent-
 // mutant annotations cannot outlive the code they describe.
 
 const ignorePrefix = "//mutate:ignore"
-
-// Directive is one parsed //mutate:ignore occurrence.
-type Directive struct {
-	// File and Line locate the directive itself.
-	File string
-	Line int
-	// Covers is the source line the directive suppresses mutants on.
-	Covers int
-	// Op is the operator name, or "all".
-	Op string
-	// Reason is the mandatory justification.
-	Reason string
-	// used flips when a collected site matches.
-	used bool
-}
 
 // IgnoreSet holds the module's parsed directives plus any malformed ones.
 type IgnoreSet struct {
@@ -41,101 +27,46 @@ type IgnoreSet struct {
 	// ready-to-print "file:line: message" strings.
 	Malformed []string
 
-	byKey map[string][]*Directive // file + ":" + line of the covered line
-	all   []*Directive
+	dirs *lint.Directives
+}
+
+// newIgnoreDirectives returns an empty directive set that accepts operator
+// names and "all".
+func newIgnoreDirectives() *lint.Directives {
+	return lint.NewDirectives(ignorePrefix, ignorePrefix+" <operator|all> <reason>", func(op string) (string, error) {
+		if _, ok := OperatorByName(op); !ok && op != "all" {
+			return "", fmt.Errorf("unknown operator %q", op)
+		}
+		return op, nil
+	})
 }
 
 // ParseIgnores scans the non-test source files of the target packages for
 // ignore directives.
-func ParseIgnores(m *Module, targets []*lint.Package) (*IgnoreSet, error) {
-	set := &IgnoreSet{byKey: map[string][]*Directive{}}
+func ParseIgnores(m *Module, targets []*lint.Package) *IgnoreSet {
+	set := &IgnoreSet{dirs: newIgnoreDirectives()}
 	for _, p := range targets {
 		for _, f := range p.Files {
-			name := p.Fset.Position(f.Pos()).Filename
-			if strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			src, err := m.Source(name)
-			if err != nil {
-				return nil, err
-			}
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, ignorePrefix) {
-						continue
-					}
-					pos := p.Fset.Position(c.Pos())
-					d, errMsg := parseDirective(c.Text, name, pos.Line)
-					if errMsg != "" {
-						set.Malformed = append(set.Malformed, fmt.Sprintf("%s:%d: %s", relIgnorePath(m, name), pos.Line, errMsg))
-						continue
-					}
-					d.Covers = pos.Line
-					if isLineStart(src, pos.Offset) {
-						d.Covers = pos.Line + 1 // standalone: covers the next line
-					}
-					key := fmt.Sprintf("%s:%d", name, d.Covers)
-					set.byKey[key] = append(set.byKey[key], d)
-					set.all = append(set.all, d)
-				}
+			if !strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
+				set.dirs.Scan(p.Fset, f)
 			}
 		}
+	}
+	for _, d := range set.dirs.Malformed {
+		set.Malformed = append(set.Malformed, fmt.Sprintf("%s:%d: %s", relIgnorePath(m, d.Pos.Filename), d.Pos.Line, d.Msg))
 	}
 	sort.Strings(set.Malformed)
-	return set, nil
-}
-
-// parseDirective splits "//mutate:ignore <op> <reason>".
-func parseDirective(text, file string, line int) (*Directive, string) {
-	rest := strings.TrimPrefix(text, ignorePrefix)
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, "malformed mutate:ignore directive (expected \"//mutate:ignore <operator|all> <reason>\")"
-	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return nil, "mutate:ignore is missing the operator (use an operator name or \"all\")"
-	}
-	op := fields[0]
-	if op != "all" {
-		if _, ok := OperatorByName(op); !ok {
-			return nil, fmt.Sprintf("mutate:ignore names unknown operator %q", op)
-		}
-	}
-	if len(fields) < 2 {
-		return nil, "mutate:ignore is missing the reason (equivalent-mutant claims must be justified)"
-	}
-	reason := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), op))
-	return &Directive{File: file, Line: line, Op: op, Reason: reason}, ""
-}
-
-// isLineStart reports whether only whitespace precedes offset on its line,
-// distinguishing standalone directives from end-of-line ones (same
-// raw-source check the lint suppressions use).
-func isLineStart(src []byte, offset int) bool {
-	for i := offset - 1; i >= 0; i-- {
-		switch src[i] {
-		case '\n':
-			return true
-		case ' ', '\t':
-			continue
-		default:
-			return false
-		}
-	}
-	return true
+	return set
 }
 
 // Covers reports whether a directive suppresses the site, marking the
 // first matching directive used (for the staleness audit).
 func (s *IgnoreSet) Covers(site Site) (reason string, ok bool) {
-	key := fmt.Sprintf("%s:%d", site.File, site.Pos.Line)
-	for _, d := range s.byKey[key] {
-		if d.Op == "all" || d.Op == site.Op {
-			d.used = true
-			return d.Reason, true
-		}
+	d, ok := s.dirs.Match(site.File, site.Pos.Line, site.Op)
+	if !ok {
+		return "", false
 	}
-	return "", false
+	return d.Reason, true
 }
 
 // Stale returns directives that covered no collected site, as
@@ -143,12 +74,9 @@ func (s *IgnoreSet) Covers(site Site) (reason string, ok bool) {
 // over the complete (unsampled) site set.
 func (s *IgnoreSet) Stale(m *Module) []string {
 	var out []string
-	for _, d := range s.all {
-		if d.used {
-			continue
-		}
+	for _, d := range s.dirs.Stale() {
 		out = append(out, fmt.Sprintf("%s:%d: stale mutate:ignore (%s): no %s mutant on line %d",
-			relIgnorePath(m, d.File), d.Line, d.Reason, d.Op, d.Covers))
+			relIgnorePath(m, d.Pos.Filename), d.Pos.Line, d.Reason, d.Name, d.Covers))
 	}
 	sort.Strings(out)
 	return out

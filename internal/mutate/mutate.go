@@ -5,11 +5,12 @@
 // only to the test packages that can observe it, and reports which mutants
 // the test suite kills. The operator set has two tiers: generic defect
 // classes (negated conditionals, off-by-one bounds, early returns, swapped
-// inequalities) and domain operators seeded from internal/lint's unit-fact
-// lattice and the protection engine's policy surface — granularity-index
-// swaps, deleted verify/MAC checks (the PR-7 TOCTOU class), skipped
-// integrity-tree levels, dropped counter bumps, inverted fine/coarse
-// switch direction, and lazy-switch-window elision.
+// inequalities) and domain operators seeded from the unit facts of the
+// geometry helpers (seeds.go) and the protection engine's policy surface —
+// granularity-index swaps, deleted verify/MAC checks (the TOCTOU class the
+// attack harness found), skipped integrity-tree levels, dropped counter
+// bumps, inverted fine/coarse switch direction, and lazy-switch-window
+// elision.
 //
 // cmd/mgmutate is the CLI driver; the measurement contract is the same as
 // mglint's: deterministic output (same seed, byte-identical JSON report)
@@ -122,7 +123,7 @@ type Module struct {
 	// order.
 	Pkgs []*lint.Package
 
-	seeds    map[types.Object]lint.Fact
+	seeds    map[types.Object]fact
 	partners map[*types.Func]*types.Func
 	src      map[string][]byte
 	routes   *routes
@@ -143,7 +144,7 @@ func LoadModule(root string) (*Module, error) {
 		Root:  absRoot,
 		Path:  modPath,
 		Pkgs:  pkgs,
-		seeds: lint.SeedUnitFacts(pkgs),
+		seeds: seedUnitFacts(pkgs),
 		src:   map[string][]byte{},
 	}
 	m.partners = m.swapPartners()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,10 +96,7 @@ func TestApplySplice(t *testing.T) {
 func TestIgnoreDirectives(t *testing.T) {
 	m := loadFixture(t)
 	targets := fixtureTargets(t, m)
-	ignores, err := ParseIgnores(m, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ignores := ParseIgnores(m, targets)
 	if len(ignores.Malformed) != 0 {
 		t.Fatalf("unexpected malformed directives: %v", ignores.Malformed)
 	}
@@ -133,13 +131,14 @@ func TestParseDirectiveErrors(t *testing.T) {
 		{"//mutate:ignore no-such-op why", false}, // unknown operator
 		{"//mutate:ignoreall smashed", false},     // no separator
 	}
+	dirs := newIgnoreDirectives()
 	for _, c := range cases {
-		d, errMsg := parseDirective(c.text, "f.go", 1)
-		if c.ok && (d == nil || errMsg != "") {
-			t.Errorf("%q: want ok, got error %q", c.text, errMsg)
+		op, reason, err := dirs.Parse(c.text)
+		if c.ok && err != nil {
+			t.Errorf("%q: want ok, got error %v", c.text, err)
 		}
-		if !c.ok && errMsg == "" {
-			t.Errorf("%q: want error, parsed %+v", c.text, d)
+		if !c.ok && err == nil {
+			t.Errorf("%q: want error, parsed op %q reason %q", c.text, op, reason)
 		}
 	}
 }
@@ -242,10 +241,7 @@ func TestRunFixtureEndToEnd(t *testing.T) {
 	runOnce := func() (*Report, []Result) {
 		mm := loadFixture(t)
 		tg := fixtureTargets(t, mm)
-		ig, err := ParseIgnores(mm, tg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ig := ParseIgnores(mm, tg)
 		sites := mm.CollectSites(tg, ops)
 		results, err := mm.Run(context.Background(), sites, ig, RunOptions{
 			Seed: 1, Workers: 4, Timeout: time.Minute, Stderr: os.Stderr,
@@ -311,11 +307,50 @@ func TestRunFixtureEndToEnd(t *testing.T) {
 	_ = targets
 }
 
+// realModule loads this repository's module once for the tests that
+// inspect it.
+var realModule = sync.OnceValues(func() (*Module, error) { return LoadModule(".") })
+
+// TestSeedRegistryResolvesAgainstModule guards the seed tables and the
+// constant partners against silent drift: if a geometry helper or constant
+// is renamed, its entry must fail loudly here instead of quietly dropping
+// unit-swap sites.
+func TestSeedRegistryResolvesAgainstModule(t *testing.T) {
+	m, err := realModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath := map[string]*lint.Package{}
+	for _, p := range m.Pkgs {
+		byPath[p.Path] = p
+	}
+	for key := range seedSigs {
+		if lookupFunc(byPath, key) == nil {
+			t.Errorf("seed signature %q does not resolve against the module", key)
+		}
+	}
+	for key := range seedFields {
+		if lookupField(byPath, key) == nil {
+			t.Errorf("seed field %q does not resolve against the module", key)
+		}
+	}
+	for from, to := range constPartner {
+		for _, name := range []string{from, to} {
+			if obj := byPath[metaPath].Types.Scope().Lookup(name); obj == nil || !isMetaConst(obj) {
+				t.Errorf("constant partner %s -> %s: meta.%s is not a constant", from, to, name)
+			}
+		}
+	}
+	if len(m.seeds) == 0 {
+		t.Fatal("no seed objects resolved")
+	}
+}
+
 func TestRealModuleDomainSites(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	m, err := LoadModule(".")
+	m, err := realModule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +374,7 @@ func TestRealModuleDomainSites(t *testing.T) {
 			t.Errorf("operator %s has no sites in the target packages", op.Name())
 		}
 	}
-	// The lattice-derived partner swaps must include the geometry helpers
+	// The seed-derived partner swaps must include the geometry helpers
 	// the unit-fact seeds differentiate.
 	wantSwap := map[string]bool{}
 	for _, s := range sites {

@@ -11,7 +11,10 @@ import (
 // verification errors occur iff the off-chip state diverged from a clean
 // shadow twin driven by the same legitimate schedule. Neither direction may
 // fail — an error on non-diverged state is a false positive, a clean sweep
-// over diverged state is a missed attack.
+// over diverged state is a missed attack. A legitimate operation that fails
+// on the victim must also leave its Snapshot exactly as it was before the
+// operation: a detection never damages state beyond what the attacker
+// touched.
 //
 // The one deliberate exclusion is granularity-table corruption that only
 // re-encodes pristine partitions: unwritten state carries no MACs, so
@@ -32,45 +35,41 @@ func FuzzAttackCheck(f *testing.F) {
 		var detected error
 		var detectedAt string
 
+		// legit runs one legitimate operation on the twin first: the twin is
+		// clean by construction, so a twin error means the operation itself
+		// is invalid (skip it), while a victim-only error is a detection. A
+		// failed operation must leave the victim's image as it found it.
+		legit := func(name string, op func(m *Memory) error) bool {
+			if op(twin) != nil {
+				return false
+			}
+			before := v.Snapshot()
+			if err := op(v); err != nil {
+				detected, detectedAt = err, name
+				if !v.Snapshot().Equal(before) {
+					t.Fatalf("failed %s changed the protected image: %v", name, err)
+				}
+				return false
+			}
+			return true
+		}
+
 		for i := 0; i+2 < len(raw) && detected == nil; i += 3 {
 			kind, sel, val := raw[i]%13, raw[i+1], raw[i+2]
 			addr := uint64(sel) % (2 * meta.BlocksPerChunk) * meta.BlockSize
 			chunk := meta.ChunkIndex(addr)
-			// Legitimate ops run on the twin first: the twin is clean by
-			// construction, so a twin error means the operation itself is
-			// invalid (skip it), while a victim-only error is a detection.
 			switch {
 			case kind < 4: // write
 				b := block(val)
-				if err := twin.Write(addr, b); err != nil {
-					continue
+				if legit("write", func(m *Memory) error { return m.Write(addr, b) }) {
+					written[addr] = true
 				}
-				if err := v.Write(addr, b); err != nil {
-					detected, detectedAt = err, "write"
-					continue
-				}
-				written[addr] = true
 			case kind < 6: // read
-				if _, err := twin.Read(addr); err != nil {
-					continue
-				}
-				if _, err := v.Read(addr); err != nil {
-					detected, detectedAt = err, "read"
-				}
+				legit("read", func(m *Memory) error { _, err := m.Read(addr); return err })
 			case kind == 6: // promote
-				if err := twin.Promote(chunk, int(val)%60, int(val)%8+1); err != nil {
-					continue
-				}
-				if err := v.Promote(chunk, int(val)%60, int(val)%8+1); err != nil {
-					detected, detectedAt = err, "promote"
-				}
+				legit("promote", func(m *Memory) error { return m.Promote(chunk, int(val)%60, int(val)%8+1) })
 			case kind == 7: // demote
-				if err := twin.Demote(chunk, int(val)%60, int(val)%8+1); err != nil {
-					continue
-				}
-				if err := v.Demote(chunk, int(val)%60, int(val)%8+1); err != nil {
-					detected, detectedAt = err, "demote"
-				}
+				legit("demote", func(m *Memory) error { return m.Demote(chunk, int(val)%60, int(val)%8+1) })
 			case kind == 8:
 				v.TamperData(addr)
 			case kind == 9:
