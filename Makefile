@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint lint-baseline build test test-race test-race-sweep attack-soak test-invariants fuzz cover mutate mutate-full
+.PHONY: check fmt vet lint lint-baseline build test test-race test-race-sweep attack-soak test-invariants fuzz cover mutate mutate-full bench-check
 
 check: fmt vet lint build test test-race-sweep
 
@@ -79,6 +79,16 @@ mutate:
 mutate-full:
 	$(GO) run ./cmd/mgmutate -short -tags invariants -v \
 		-floor mutation-floor.txt -no-survivors -o mgmutate-full.json ./...
+
+# Reference-digest gate: one short untraced run of all five benchmark
+# workloads (about a minute on 2 vCPU) checks their seed-1 digests against
+# bench/testdata/reference.json. The benchmark
+# exits 0 even when a digest mismatches, so the gate reads its last line,
+# which must report "correct":true and "failed":0.
+bench-check:
+	@last=$$(bash bench/run.sh --seconds 1 --trace 0 | tail -n 1); echo "$$last"; \
+	case "$$last" in *'"correct":true'*'"failed":0,'*) ;; \
+	*) echo "bench-check: a workload failed an op or missed its reference digest"; exit 1 ;; esac
 
 # Short fuzz pass over the fuzz targets (seed corpus runs in plain `test`).
 fuzz:

@@ -39,8 +39,8 @@ const (
 	XGranSplice
 	// Replay restores a full stale off-chip snapshot.
 	Replay
-	// Rollback restores only the freshness state (counters, tree nodes,
-	// major epochs), leaving data and MACs current.
+	// Rollback restores only the freshness state (counters and tree
+	// nodes), leaving data and MACs current.
 	Rollback
 	// TableCorrupt rewrites a chunk's granularity-table entry, so metadata
 	// laid out under one encoding is reinterpreted under another.
@@ -103,9 +103,9 @@ func ClassNames() []string {
 	return out
 }
 
-// rng is a xorshift64* generator, the package's own deterministic PRNG
-// (math/rand is off limits near simulation packages; see the determinism
-// lint rule). Identical seeds replay identical campaigns.
+// rng is a xorshift64* generator, the package's own deterministic PRNG:
+// identical seeds replay identical campaigns, which the soak's failure
+// artifacts depend on (see Artifact).
 type rng struct{ s uint64 }
 
 func newRNG(seed uint64) *rng {

@@ -5,17 +5,16 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"unimem/internal/lint"
 )
 
 // The domain tier encodes the defect classes the paper's multi-granular
-// MAC + integrity tree must catch, seeded from two authorities: the
-// unit-fact seeds (seeds.go, which declare the address/index domain of
-// every geometry helper) and the protection engine's policy
-// surface (verify/seal/commit/promote names in secmem, core and meta).
+// MAC + integrity tree must catch, stated from two authorities: the unit
+// domains of the geometry helpers (the unit-swap partner tables below) and
+// the protection engine's policy surface (verify/seal/commit/promote names
+// in secmem, core and meta).
 // These are exactly the failure modes the related work documents — the
 // MGX version-elision and the SecDDR MAC-only-path gaps — plus the TOCTOU
 // laundering class PR 7's attack harness found for real.
@@ -24,116 +23,70 @@ import (
 // analysis (fixture modules mirror the internal/ layout).
 const metaPathSuffix = "/internal/meta"
 
-// factSig is the unit-domain shape of a function: the seeded facts of its
-// parameters and results, factNone where unconstrained.
-type factSig struct {
-	params  string
-	results string
+// funcPartner is the unit-swap table of the geometry helpers: each helper
+// is redirected to a twin with the identical Go signature whose argument
+// or result lives in a different unit domain (byte address, 64B block
+// index, 512B partition index, 32KB chunk index, Eq. 1-4) — exactly the
+// mixups the type checker cannot catch and the suite must. Both sides name
+// members of the geometry package, methods as "Type.Method".
+var funcPartner = map[string]string{
+	"AlignBlock":   "BlockIndex",
+	"BlockIndex":   "AlignBlock",
+	"ChunkBase":    "BlockIndex",
+	"ChunkIndex":   "AlignBlock",
+	"BlockInChunk": "PartIndex",
+	"PartIndex":    "BlockInChunk",
+
+	"Geometry.Blocks":            "Geometry.Chunks",
+	"Geometry.Chunks":            "Geometry.Blocks",
+	"Geometry.MetadataBytes":     "Geometry.Blocks",
+	"Geometry.CounterEntryIndex": "Geometry.CounterLineAddr",
+	"Geometry.CounterLineAddr":   "Geometry.CounterEntryIndex",
 }
 
-// swapPartners derives the unit-swap table from the seeds: two functions
-// (or two methods of one type) with identical Go signatures but different
-// unit-fact shapes are a granularity-index mixup the compiler cannot see.
-// For each such function the partner is the first differing candidate in
-// name order, making site generation deterministic and one-per-call.
-func (m *Module) swapPartners() map[*types.Func]*types.Func {
-	type cand struct {
-		fn  *types.Func
-		sig *types.Signature
-		fs  factSig
-	}
-	// Group candidates by (package, receiver type, signature shape).
-	groups := map[string][]cand{}
-	var keys []string
-	for _, p := range m.Pkgs {
-		scope := p.Types.Scope()
-		names := scope.Names()
-		var fns []*types.Func
-		for _, name := range names {
-			switch obj := scope.Lookup(name).(type) {
-			case *types.Func:
-				fns = append(fns, obj)
-			case *types.TypeName:
-				named, ok := obj.Type().(*types.Named)
-				if !ok {
-					continue
-				}
-				for i := 0; i < named.NumMethods(); i++ {
-					fns = append(fns, named.Method(i))
-				}
-			}
-		}
-		for _, fn := range fns {
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok {
-				continue
-			}
-			fs, known := m.factSigOf(sig)
-			if !known {
-				continue
-			}
-			recv := ""
-			if sig.Recv() != nil {
-				recv = typeString(sig.Recv().Type())
-			}
-			key := p.Path + "|" + recv + "|" + plainSig(sig)
-			if _, seen := groups[key]; !seen {
-				keys = append(keys, key)
-			}
-			groups[key] = append(groups[key], cand{fn: fn, sig: sig, fs: fs})
-		}
-	}
-	sort.Strings(keys)
+// resolvePartners resolves funcPartner against the geometry package; a
+// module without one (the test fixtures) has no partners.
+func resolvePartners(meta *types.Package) map[*types.Func]*types.Func {
 	out := map[*types.Func]*types.Func{}
-	for _, key := range keys {
-		g := groups[key]
-		sort.Slice(g, func(i, j int) bool { return g[i].fn.Name() < g[j].fn.Name() })
-		for i := range g {
-			for j := range g {
-				if i == j || g[i].fs == g[j].fs || !types.Identical(g[i].sig, g[j].sig) {
-					continue
-				}
-				out[g[i].fn] = g[j].fn
-				break
-			}
+	if meta == nil {
+		return out
+	}
+	for from, to := range funcPartner {
+		f, g := lookupFunc(meta, from), lookupFunc(meta, to)
+		if f != nil && g != nil {
+			out[f] = g
 		}
 	}
 	return out
 }
 
-// factSigOf renders a signature's unit-fact shape; known is false when no
-// parameter or result carries a seeded fact (such functions are not
-// swap candidates).
-func (m *Module) factSigOf(sig *types.Signature) (factSig, bool) {
-	known := false
-	var fs factSig
-	for i := 0; i < sig.Params().Len(); i++ {
-		f := m.seeds[sig.Params().At(i)]
-		if f != factNone {
-			known = true
-		}
-		fs.params += f.String() + ","
+// lookupFunc resolves "Func" or "Type.Method" in pkg.
+func lookupFunc(pkg *types.Package, name string) *types.Func {
+	typ, method, isMethod := strings.Cut(name, ".")
+	if !isMethod {
+		fn, _ := pkg.Scope().Lookup(name).(*types.Func)
+		return fn
 	}
-	for i := 0; i < sig.Results().Len(); i++ {
-		f := m.seeds[sig.Results().At(i)]
-		if f != factNone {
-			known = true
-		}
-		fs.results += f.String() + ","
+	tn, ok := pkg.Scope().Lookup(typ).(*types.TypeName)
+	if !ok {
+		return nil
 	}
-	return fs, known
-}
-
-// plainSig renders a signature without the receiver, for grouping.
-func plainSig(sig *types.Signature) string {
-	noRecv := types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
-	return typeString(noRecv)
+	named, ok := tn.Type().(*types.Named)
+	if !ok {
+		return nil
+	}
+	for i := 0; i < named.NumMethods(); i++ {
+		if m := named.Method(i); m.Name() == method {
+			return m
+		}
+	}
+	return nil
 }
 
 // UnitSwap swaps byte/block/partition/chunk index domains: calls to
-// geometry helpers are redirected to a twin with different unit facts and an
-// identical Go signature, and geometry constants are replaced by a
-// different-domain constant (an Eq. 1-4 conversion-factor mixup).
+// geometry helpers are redirected to their funcPartner twin, and geometry
+// constants are replaced by a different-domain constant (an Eq. 1-4
+// conversion-factor mixup).
 type UnitSwap struct{}
 
 // Name implements Operator.
@@ -144,7 +97,7 @@ func (*UnitSwap) Tier() string { return "domain" }
 
 // Doc implements Operator.
 func (*UnitSwap) Doc() string {
-	return "swap byte/block/partition/chunk index helpers and geometry constants (unit-fact seeds)"
+	return "swap byte/block/partition/chunk index helpers and geometry constants (stated partner tables)"
 }
 
 // constPartner swaps a geometry constant for one from a different unit
@@ -504,9 +457,10 @@ func isGran(p *lint.Package, e ast.Expr) bool {
 
 // DropWindow elides the lazy-switch window: pending-switch commits are
 // deleted or collapsed, reads resolve against the not-yet-committed
-// encoding, the staging-buffer reseal falls back to off-chip ciphertext
-// (reintroducing the exact TOCTOU hole PR 7 closed), and the switch-window
-// probe event disappears.
+// encoding, and the switch-window probe event disappears. (A reseal from
+// off-chip ciphertext, the TOCTOU hole the attack harness found, has no
+// site: no sealer reads stored ciphertext. Its owners are drop-verify on
+// stage's verify calls and the xgran-splice row of the detection matrix.)
 type DropWindow struct{}
 
 // Name implements Operator.
@@ -517,7 +471,7 @@ func (*DropWindow) Tier() string { return "domain" }
 
 // Doc implements Operator.
 func (*DropWindow) Doc() string {
-	return "elide the lazy-switch window: commits dropped, Current reads Next, reseal from off-chip bytes"
+	return "elide the lazy-switch window: commits dropped, Current reads Next, window probe deleted"
 }
 
 // Sites implements Operator.
@@ -557,12 +511,6 @@ func (op *DropWindow) Sites(m *Module, p *lint.Package) []Site {
 			case fn.Name() == "Current" && onTable(fn) && sel != nil:
 				out = append(out, m.identSwapSite(p, op, sel.Sel, "Next",
 					"Current reads the uncommitted Next encoding: the window collapses to zero"))
-			case fn.Name() == "sealUnitFromPlain" && sel != nil && len(e.Args) == 4:
-				recv := m.nodeText(p, sel.X)
-				args := []string{m.nodeText(p, e.Args[0]), m.nodeText(p, e.Args[1]), m.nodeText(p, e.Args[2])}
-				out = append(out, m.site(p, op, e,
-					fmt.Sprintf("%s.sealUnit(%s, %s, %s)", recv, args[0], args[1], args[2]),
-					"reseal from off-chip ciphertext instead of the verify-time capture (the PR-7 TOCTOU hole)"))
 			}
 		case *ast.IfStmt:
 			if site, ok := m.probeWindowSite(p, op, e); ok {

@@ -5,8 +5,8 @@
 // only to the test packages that can observe it, and reports which mutants
 // the test suite kills. The operator set has two tiers: generic defect
 // classes (negated conditionals, off-by-one bounds, early returns, swapped
-// inequalities) and domain operators seeded from the unit facts of the
-// geometry helpers (seeds.go) and the protection engine's policy surface —
+// inequalities) and domain operators stated from the unit domains of the
+// geometry helpers and the protection engine's policy surface —
 // granularity-index swaps, deleted verify/MAC checks (the TOCTOU class the
 // attack harness found), skipped integrity-tree levels, dropped counter
 // bumps, inverted fine/coarse switch direction, and lazy-switch-window
@@ -112,8 +112,8 @@ func OperatorByName(name string) (Operator, bool) {
 }
 
 // Module is one loaded module plus the shared indexes the operators and
-// the runner consult: source bytes, the unit-fact seeds, and the
-// (test-inclusive) import graph.
+// the runner consult: source bytes, the resolved unit-swap partners, and
+// the (test-inclusive) import graph.
 type Module struct {
 	// Root is the absolute module root directory.
 	Root string
@@ -123,7 +123,6 @@ type Module struct {
 	// order.
 	Pkgs []*lint.Package
 
-	seeds    map[types.Object]fact
 	partners map[*types.Func]*types.Func
 	src      map[string][]byte
 	routes   *routes
@@ -140,15 +139,20 @@ func LoadModule(root string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{
-		Root:  absRoot,
-		Path:  modPath,
-		Pkgs:  pkgs,
-		seeds: seedUnitFacts(pkgs),
-		src:   map[string][]byte{},
-	}
-	m.partners = m.swapPartners()
+	m := &Module{Root: absRoot, Path: modPath, Pkgs: pkgs, src: map[string][]byte{}}
+	m.partners = resolvePartners(m.metaPackage())
 	return m, nil
+}
+
+// metaPackage returns the module's geometry package, or nil when it has
+// none.
+func (m *Module) metaPackage() *types.Package {
+	for _, p := range m.Pkgs {
+		if p.Path == m.Path+metaPathSuffix {
+			return p.Types
+		}
+	}
+	return nil
 }
 
 // PackageByPath resolves an import path (exact, or unique suffix match

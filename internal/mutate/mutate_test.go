@@ -3,6 +3,7 @@ package mutate
 import (
 	"context"
 	"encoding/json"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sync"
@@ -311,38 +312,38 @@ func TestRunFixtureEndToEnd(t *testing.T) {
 // inspect it.
 var realModule = sync.OnceValues(func() (*Module, error) { return LoadModule(".") })
 
-// TestSeedRegistryResolvesAgainstModule guards the seed tables and the
-// constant partners against silent drift: if a geometry helper or constant
-// is renamed, its entry must fail loudly here instead of quietly dropping
-// unit-swap sites.
+// TestSeedRegistryResolvesAgainstModule guards the stated unit-swap
+// tables against silent drift: if a geometry helper or constant is renamed
+// or re-typed, its entry must fail loudly here instead of quietly dropping
+// unit-swap sites or producing mutants that do not compile.
 func TestSeedRegistryResolvesAgainstModule(t *testing.T) {
 	m, err := realModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPath := map[string]*lint.Package{}
-	for _, p := range m.Pkgs {
-		byPath[p.Path] = p
+	metaPkg := m.metaPackage()
+	if metaPkg == nil {
+		t.Fatal("module has no geometry package")
 	}
-	for key := range seedSigs {
-		if lookupFunc(byPath, key) == nil {
-			t.Errorf("seed signature %q does not resolve against the module", key)
+	for from, to := range funcPartner {
+		f, g := lookupFunc(metaPkg, from), lookupFunc(metaPkg, to)
+		if f == nil || g == nil {
+			t.Errorf("unit-swap pair %s -> %s does not resolve in meta", from, to)
+			continue
+		}
+		if !types.Identical(f.Type(), g.Type()) {
+			t.Errorf("unit-swap pair %s -> %s: signatures differ (%s vs %s)", from, to, f.Type(), g.Type())
 		}
 	}
-	for key := range seedFields {
-		if lookupField(byPath, key) == nil {
-			t.Errorf("seed field %q does not resolve against the module", key)
-		}
+	if len(m.partners) != len(funcPartner) {
+		t.Errorf("%d unit-swap partners resolved, want %d", len(m.partners), len(funcPartner))
 	}
 	for from, to := range constPartner {
 		for _, name := range []string{from, to} {
-			if obj := byPath[metaPath].Types.Scope().Lookup(name); obj == nil || !isMetaConst(obj) {
+			if obj := metaPkg.Scope().Lookup(name); obj == nil || !isMetaConst(obj) {
 				t.Errorf("constant partner %s -> %s: meta.%s is not a constant", from, to, name)
 			}
 		}
-	}
-	if len(m.seeds) == 0 {
-		t.Fatal("no seed objects resolved")
 	}
 }
 
@@ -374,8 +375,7 @@ func TestRealModuleDomainSites(t *testing.T) {
 			t.Errorf("operator %s has no sites in the target packages", op.Name())
 		}
 	}
-	// The seed-derived partner swaps must include the geometry helpers
-	// the unit-fact seeds differentiate.
+	// The stated partner swaps must bite on the real call sites.
 	wantSwap := map[string]bool{}
 	for _, s := range sites {
 		if s.Op == "unit-swap" {

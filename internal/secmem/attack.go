@@ -96,7 +96,7 @@ func (m *Memory) TamperTable(chunk uint64, sp meta.StreamPart) bool {
 }
 
 // Snapshot captures all off-chip state: ciphertext, MACs, tree nodes,
-// counters, major epochs and the granularity table. Restoring it after
+// counters and the granularity table. Restoring it after
 // further writes is a replay attack — the on-chip roots are deliberately
 // not captured.
 type Snapshot struct {
@@ -104,7 +104,6 @@ type Snapshot struct {
 	counters map[counterKey]uint64
 	macs     map[uint64]crypto.MAC
 	nodeMACs map[uint64]crypto.MAC
-	majors   map[uint64]uint64
 	// table holds {current, next} encodings of chunks with non-default
 	// state, so replay across granularity switches restores a consistent
 	// metadata layout.
@@ -118,7 +117,6 @@ func (m *Memory) Snapshot() *Snapshot {
 		counters: maps.Clone(m.counters),
 		macs:     maps.Clone(m.macs),
 		nodeMACs: maps.Clone(m.nodeMACs),
-		majors:   maps.Clone(m.majors),
 		table:    map[uint64][2]meta.StreamPart{},
 	}
 	//mutate:ignore unit-swap the granularity table is a sparse map, so over-scanning past the region's chunk count reads only zero entries the condition below filters out; the snapshot is unchanged
@@ -139,7 +137,6 @@ func (s *Snapshot) Equal(o *Snapshot) bool {
 		maps.Equal(s.counters, o.counters) &&
 		maps.Equal(s.macs, o.macs) &&
 		maps.Equal(s.nodeMACs, o.nodeMACs) &&
-		maps.Equal(s.majors, o.majors) &&
 		maps.Equal(s.table, o.table)
 }
 
@@ -151,7 +148,6 @@ func (m *Memory) Replay(s *Snapshot) {
 	m.counters = maps.Clone(s.counters)
 	m.macs = maps.Clone(s.macs)
 	m.nodeMACs = maps.Clone(s.nodeMACs)
-	m.majors = maps.Clone(s.majors)
 	m.table.Reset()
 	for c, t := range s.table {
 		m.table.SetNext(c, t[0])
@@ -162,20 +158,18 @@ func (m *Memory) Replay(s *Snapshot) {
 	}
 }
 
-// RollbackCounters restores only the freshness state — counters, tree-node
-// MACs and major epochs — from a snapshot, leaving data, MACs and the
+// RollbackCounters restores only the freshness state — counters and
+// tree-node MACs — from a snapshot, leaving data, MACs and the
 // granularity table current. This models a counter-rollback attack that
 // tries to revert version state without touching content. Returns false
 // when the snapshot's freshness state matches the current one (no-op).
 func (m *Memory) RollbackCounters(s *Snapshot) bool {
 	if maps.Equal(m.counters, s.counters) &&
-		maps.Equal(m.nodeMACs, s.nodeMACs) &&
-		maps.Equal(m.majors, s.majors) {
+		maps.Equal(m.nodeMACs, s.nodeMACs) {
 		return false
 	}
 	m.counters = maps.Clone(s.counters)
 	m.nodeMACs = maps.Clone(s.nodeMACs)
-	m.majors = maps.Clone(s.majors)
 	return true
 }
 

@@ -55,41 +55,3 @@ func TestScaleUpCounterExceedsAllChildren(t *testing.T) {
 		t.Fatal("promotion lost data")
 	}
 }
-
-// Kills the negate-cond mutant on the scale-up saturation guard
-// (switch.go): the major epoch must bump exactly when assigning
-// max(children)+1 would saturate a bounded minor counter — bumping on
-// every scale-up pays a needless whole-chunk re-encryption, and skipping
-// the saturated case wraps the minor into a reused pad.
-func TestScaleUpBumpsMajorOnlyWhenMinorSaturates(t *testing.T) {
-	// Unsaturated: plenty of headroom, the epoch must stay put.
-	m := newMem()
-	m.SetCounterWidth(8)
-	mustWrite(t, m, 0, block(1))
-	if err := m.ApplyDetection(0, meta.AllStream); err != nil {
-		t.Fatal(err)
-	}
-	if m.majors[0] != 0 {
-		t.Fatalf("majors[0] = %d after unsaturated scale-up, want 0", m.majors[0])
-	}
-
-	// Saturated: the next counter value would not fit 2 bits.
-	m = newMem()
-	m.SetCounterWidth(2)
-	want := block(2)
-	for i := 0; i < 3; i++ {
-		mustWrite(t, m, 0, want) // minor reaches 3 = minorLimit-1
-	}
-	if c := m.unitCounter(0, meta.Gran64); c != 3 {
-		t.Fatalf("child counter = %d before promotion, want 3", c)
-	}
-	if err := m.ApplyDetection(0, meta.AllStream); err != nil {
-		t.Fatal(err)
-	}
-	if m.majors[0] != 1 {
-		t.Fatalf("majors[0] = %d after saturated scale-up, want 1", m.majors[0])
-	}
-	if got := mustRead(t, m, 0); !bytes.Equal(got, want) {
-		t.Fatal("saturated promotion lost data")
-	}
-}

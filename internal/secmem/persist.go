@@ -45,7 +45,10 @@ func (m *Memory) Save(w io.Writer) (roots []uint64, err error) {
 			}
 		}
 	}
-	put(imageMagic, imageVersion, m.geom.RegionBytes, uint64(m.ctrBits))
+	// Format v1 holds a counter-width word here and a major-epoch section
+	// last. Counters are unbounded, so both are written empty and Load
+	// rejects any other value.
+	put(imageMagic, imageVersion, m.geom.RegionBytes, 0)
 
 	// Every map section is emitted in sorted key order: the image bytes
 	// must be a pure function of the protected state, so two Saves of the
@@ -101,10 +104,7 @@ func (m *Memory) Save(w io.Writer) (roots []uint64, err error) {
 	for _, c := range chunks {
 		put(c.chunk, uint64(c.sp))
 	}
-	put(uint64(len(m.majors)))
-	for _, c := range sortedKeys(m.majors) {
-		put(c, m.majors[c])
-	}
+	put(0) // major-epoch section count
 	if err != nil {
 		return nil, err
 	}
@@ -151,12 +151,12 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 	if err != nil || region == 0 || region%meta.ChunkSize != 0 {
 		return nil, fmt.Errorf("%w: bad region size", ErrImageFormat)
 	}
-	ctrBits, err := read()
-	if err != nil || ctrBits > 63 {
-		return nil, fmt.Errorf("%w: bad counter width", ErrImageFormat)
+	// A counter width (or, below, a major epoch) marks an image written
+	// with bounded counters, which this engine cannot read.
+	if width, err := read(); err != nil || width != 0 {
+		return nil, fmt.Errorf("%w: bounded counters unsupported", ErrImageFormat)
 	}
 	m := New(region, seed)
-	m.ctrBits = int(ctrBits)
 	if len(roots) != len(m.roots) {
 		return nil, fmt.Errorf("%w: root count %d, want %d", ErrImageFormat, len(roots), len(m.roots))
 	}
@@ -228,13 +228,8 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 	if n, err = read(); err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < n; i++ {
-		chunk, err1 := read()
-		val, err2 := read()
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("%w: truncated majors", ErrImageFormat)
-		}
-		m.majors[chunk] = val
+	if n != 0 {
+		return nil, fmt.Errorf("%w: bounded counters unsupported", ErrImageFormat)
 	}
 
 	// Authenticate: every written counter entry must verify against the

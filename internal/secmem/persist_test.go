@@ -2,6 +2,7 @@ package secmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -145,5 +146,32 @@ func TestSaveLoadEmptyImage(t *testing.T) {
 	got := mustRead(t, m2, 0x2000)
 	if !bytes.Equal(got, make([]byte, meta.BlockSize)) {
 		t.Fatal("fresh loaded image not zero")
+	}
+}
+
+// TestLoadRejectsBoundedCounterImage: format v1 keeps a counter-width word
+// and a trailing major-epoch section from retired bounded counters. Save
+// writes both empty; an image with a counter width or any major epoch was
+// written under bounded counters and must not load.
+func TestLoadRejectsBoundedCounterImage(t *testing.T) {
+	m := newMem()
+	mustWrite(t, m, 0, block(1))
+	var buf bytes.Buffer
+	roots, err := m.Save(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes()), 42, roots); err != nil {
+		t.Fatalf("unpatched image: %v", err)
+	}
+	for name, patch := range map[string]func(img []byte){
+		"counter width":       func(img []byte) { binary.LittleEndian.PutUint64(img[24:], 2) },
+		"major-epoch section": func(img []byte) { binary.LittleEndian.PutUint64(img[len(img)-8:], 1) },
+	} {
+		img := bytes.Clone(buf.Bytes())
+		patch(img)
+		if _, err := Load(bytes.NewReader(img), 42, roots); !errors.Is(err, ErrImageFormat) {
+			t.Errorf("%s: err = %v, want ErrImageFormat", name, err)
+		}
 	}
 }

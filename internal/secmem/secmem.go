@@ -45,13 +45,12 @@ type Memory struct {
 	nodeMACs map[uint64]crypto.MAC // tree-node MACs by counter-line address
 	roots    []uint64              // on-chip root counters (not attacker visible)
 
-	// Bounded-counter state (see overflow.go). ctrBits == 0 means
-	// unbounded minors (no overflow handling needed).
-	ctrBits int
-	majors  map[uint64]uint64 // per-chunk major epoch, off-chip
+	// stg is the on-chip staging buffer every rewrite goes through (see
+	// stage and seal).
+	stg *staging
 
 	// prb, when non-nil, receives EvSwitchWindow events while a lazy
-	// granularity switch has verified-and-captured a chunk but not yet
+	// granularity switch has verified-and-staged a chunk but not yet
 	// resealed it — the timing seam attack campaigns use to land
 	// mid-switch mutations (see ApplyDetection).
 	prb probe.Probe
@@ -71,7 +70,6 @@ type Stats struct {
 	Promotions uint64
 	Demotions  uint64
 	Verified   uint64 // tree-node verifications performed
-	Overflows  uint64 // minor-counter saturations handled (overflow.go)
 }
 
 // New creates a protected memory of regionBytes (multiple of 32KB),
@@ -88,7 +86,7 @@ func New(regionBytes uint64, seed uint64) *Memory {
 		macs:     map[uint64]crypto.MAC{},
 		nodeMACs: map[uint64]crypto.MAC{},
 		roots:    make([]uint64, g.RootEntries()),
-		majors:   map[uint64]uint64{},
+		stg:      new(staging),
 	}
 }
 
@@ -207,62 +205,127 @@ func (m *Memory) unitCounter(base uint64, gran meta.Gran) uint64 {
 	return m.readCounter(gran.Level(), m.geom.CounterEntryIndex(gran.Level(), meta.BlockIndex(base)))
 }
 
-// fineMACs computes the per-64B MACs of a unit's ciphertext under counter
-// ctr.
-func (m *Memory) fineMACs(base uint64, gran meta.Gran, ctr uint64) []crypto.MAC {
-	out := make([]crypto.MAC, gran.Blocks())
-	for i := range out {
-		blockAddr := base + uint64(i*meta.BlockSize)
-		ct := m.data[blockAddr]
-		out[i] = m.eng.BlockMAC(blockAddr, ctr, ct[:])
-	}
-	return out
-}
-
-// storedMAC returns the MAC slot address for a unit.
+// unitMACAddr returns the MAC slot address for a unit.
 func (m *Memory) unitMACAddr(base uint64, sp meta.StreamPart) uint64 {
 	a, _ := m.geom.MACAddrFor(base, sp)
 	return a
 }
 
-// sealUnit recomputes and stores the unit's MAC (nested for coarse units,
-// per-block for fine) under counter ctr.
-func (m *Memory) sealUnit(base uint64, gran meta.Gran, ctr uint64) {
-	sp := m.table.Current(meta.ChunkIndex(base))
-	fines := m.fineMACs(base, gran, ctr)
-	if gran == meta.Gran64 {
-		m.macs[m.unitMACAddr(base, sp)] = fines[0]
-		return
+// --- the rewrite path -----------------------------------------------------
+
+// staging is the on-chip buffer of the rewrite path, one chunk wide and
+// indexed by block within the chunk. Every path that rewrites stored units
+// goes through it: stage verifies the units and decrypts them here, the
+// caller edits the plaintext, and seal encrypts from here. Sealing from
+// verified on-chip plaintext rather than from off-chip ciphertext is what
+// keeps a rewrite from laundering tampered data into fresh MACs (the TOCTOU
+// window real engines close with on-chip buffers). The buffer is reused
+// across calls.
+type staging struct {
+	ct    [meta.BlocksPerChunk][meta.BlockSize]byte // ciphertext the next MAC fold covers
+	plain [meta.BlocksPerChunk][meta.BlockSize]byte // verified plaintext
+	has   [meta.BlocksPerChunk]bool                 // block holds staged plaintext
+	ctr   [meta.BlocksPerChunk]uint64               // staged unit counter, by the unit's first block
+	fines [meta.BlocksPerChunk]crypto.MAC           // per-block MACs of the fold
+}
+
+// zeroFill stages every block of unit u that holds no plaintext as zeros,
+// so seal materializes the whole unit.
+func (s *staging) zeroFill(u meta.Unit) {
+	for b := u.Block; b < u.Block+u.Blocks(); b++ {
+		if !s.has[b] {
+			s.plain[b] = [meta.BlockSize]byte{}
+			s.has[b] = true
+		}
 	}
-	m.macs[m.unitMACAddr(base, sp)] = m.eng.NestedMAC(fines)
+}
+
+// foldMAC computes the MAC of the unit at base under counter ctr over the
+// ciphertext in the staging buffer: the block MAC for a 64B unit, the
+// nested fold of the per-block MACs (paper Eq. 5) for a coarse one.
+func (m *Memory) foldMAC(base uint64, gran meta.Gran, ctr uint64) crypto.MAC {
+	first := meta.BlockInChunk(base)
+	fines := m.stg.fines[:gran.Blocks()]
+	for i := range fines {
+		fines[i] = m.eng.BlockMAC(base+uint64(i)*meta.BlockSize, ctr, m.stg.ct[first+i][:])
+	}
+	if gran == meta.Gran64 {
+		return fines[0]
+	}
+	return m.eng.NestedMAC(fines)
 }
 
 // verifyUnit authenticates the unit's stored ciphertext against its MAC
-// under effective counter eff. A pristine unit (minor counter zero, no MAC
-// slot, no stored blocks) passes — fresh memory reads as zero without a
-// MAC. Every path that decrypts stored ciphertext must verify through here
-// first: decrypt-then-reseal without verification would launder off-chip
-// tampering into fresh MACs (a TOCTOU hole real engines close by verifying
-// into on-chip buffers before any re-encryption).
-func (m *Memory) verifyUnit(base uint64, gran meta.Gran, sp meta.StreamPart, minor, eff uint64) error {
+// under counter ctr, loading the ciphertext into the staging buffer (zeros
+// and no staged plaintext for never-written blocks). A pristine unit
+// (counter zero, no MAC slot, no stored blocks) passes — fresh memory reads
+// as zero without a MAC.
+func (m *Memory) verifyUnit(base uint64, gran meta.Gran, sp meta.StreamPart, ctr uint64) error {
+	first := meta.BlockInChunk(base)
+	touched := false
+	for i := 0; i < gran.Blocks(); i++ {
+		ct, ok := m.data[base+uint64(i)*meta.BlockSize]
+		m.stg.ct[first+i], m.stg.has[first+i] = ct, ok
+		touched = touched || ok
+	}
 	stored, ok := m.macs[m.unitMACAddr(base, sp)]
 	if !ok {
-		if minor == 0 && m.unitUntouched(base, gran) {
+		if ctr == 0 && !touched {
 			return nil
 		}
 		return fmt.Errorf("%w: missing MAC for unit %#x", ErrMAC, base)
 	}
-	fines := m.fineMACs(base, gran, eff)
-	var want crypto.MAC
-	if gran == meta.Gran64 {
-		want = fines[0]
-	} else {
-		want = m.eng.NestedMAC(fines)
-	}
-	if !crypto.Equal(stored, want) {
+	if !crypto.Equal(stored, m.foldMAC(base, gran, ctr)) {
 		return fmt.Errorf("%w: unit %#x (%v)", ErrMAC, base, gran)
 	}
 	return nil
+}
+
+// stage verifies the units of chunk an operation will rewrite — each
+// unit's counter chain (freshness), then its MAC (content) under encoding
+// sp — and decrypts their stored blocks into the staging buffer, recording
+// each unit's counter. It mutates nothing, so an operation that fails here
+// leaves the image exactly as it was.
+func (m *Memory) stage(chunk uint64, sp meta.StreamPart, units ...meta.Unit) error {
+	chunkBase := chunk * meta.ChunkSize
+	for _, u := range units {
+		base := chunkBase + uint64(u.Block)*meta.BlockSize
+		if err := m.verifyChain(u.Gran.Level(), meta.BlockIndex(base)); err != nil {
+			return err
+		}
+		ctr := m.unitCounter(base, u.Gran)
+		if err := m.verifyUnit(base, u.Gran, sp, ctr); err != nil {
+			return err
+		}
+		m.stg.ctr[u.Block] = ctr
+		for b := u.Block; b < u.Block+u.Blocks(); b++ {
+			if m.stg.has[b] {
+				a := chunkBase + uint64(b)*meta.BlockSize
+				copy(m.stg.plain[b][:], m.eng.Open(a, ctr, m.stg.ct[b][:]))
+			}
+		}
+	}
+	return nil
+}
+
+// seal encrypts the staged plaintext of the unit at base under counter
+// ctr, stores the ciphertext and stores the unit's MAC in its slot under
+// the current encoding. It never reads stored ciphertext: a block with
+// nothing staged keeps the zero-ciphertext MAC and is not materialized.
+func (m *Memory) seal(base uint64, gran meta.Gran, ctr uint64) {
+	first := meta.BlockInChunk(base)
+	for i := 0; i < gran.Blocks(); i++ {
+		b := first + i
+		if !m.stg.has[b] {
+			m.stg.ct[b] = [meta.BlockSize]byte{}
+			continue
+		}
+		a := base + uint64(i)*meta.BlockSize
+		copy(m.stg.ct[b][:], m.eng.Seal(a, ctr, m.stg.plain[b][:]))
+		m.data[a] = m.stg.ct[b]
+	}
+	sp := m.table.Current(meta.ChunkIndex(base))
+	m.macs[m.unitMACAddr(base, sp)] = m.foldMAC(base, gran, ctr)
 }
 
 // --- public data path -----------------------------------------------------
@@ -270,7 +333,7 @@ func (m *Memory) verifyUnit(base uint64, gran meta.Gran, sp meta.StreamPart, min
 // Write stores one 64B plaintext block at the block-aligned address addr.
 // For blocks inside a coarse-grained unit the whole unit is re-encrypted
 // under a fresh shared counter (the bulk-write behaviour coarse units are
-// chosen for).
+// chosen for); never-written members are materialized as zeros.
 func (m *Memory) Write(addr uint64, plaintext []byte) error {
 	m.checkAddr(addr)
 	if addr%meta.BlockSize != 0 || len(plaintext) != meta.BlockSize {
@@ -278,53 +341,21 @@ func (m *Memory) Write(addr uint64, plaintext []byte) error {
 	}
 	m.Stats.Writes++
 	chunk := meta.ChunkIndex(addr)
-	base, gran := m.unitOf(addr)
-	level := gran.Level()
-	entry := m.geom.CounterEntryIndex(level, meta.BlockIndex(base))
-
-	// Verify before read-modify-write of sibling blocks: the chain for
-	// freshness, the unit MAC for content — sibling ciphertext is about to
-	// be decrypted and resealed, and resealing unverified data would turn a
-	// write into a tamper-laundering primitive.
-	if err := m.verifyChain(level, meta.BlockIndex(base)); err != nil {
+	sp := m.table.Current(chunk)
+	u := sp.UnitOf(meta.BlockInChunk(addr))
+	// Verify before read-modify-write of sibling blocks: resealing
+	// unverified data would turn a write into a tamper-laundering primitive.
+	if err := m.stage(chunk, sp, u); err != nil {
 		return err
 	}
-	preMinor := m.readCounter(level, entry)
-	if err := m.verifyUnit(base, gran, m.table.Current(chunk), preMinor, m.effectiveCtr(chunk, preMinor)); err != nil {
-		return err
-	}
-	// Minor-counter saturation: bump the chunk's major epoch (re-encrypts
-	// the chunk and resets minors) before taking the write.
-	if m.readCounter(level, entry)+1 >= m.minorLimit() {
-		if err := m.bumpMajor(chunk); err != nil {
-			return err
-		}
-	}
-	oldCtr := m.readCounter(level, entry)
-	oldEff := m.effectiveCtr(chunk, oldCtr)
+	m.stg.zeroFill(u)
+	copy(m.stg.plain[meta.BlockInChunk(addr)][:], plaintext)
 
-	// Decrypt current unit contents (zero for never-written blocks).
-	plain := make([][]byte, gran.Blocks())
-	for i := range plain {
-		blockAddr := base + uint64(i*meta.BlockSize)
-		if ct, ok := m.data[blockAddr]; ok {
-			plain[i] = m.eng.Open(blockAddr, oldEff, ct[:])
-		} else {
-			plain[i] = make([]byte, meta.BlockSize)
-		}
-	}
-	plain[(addr-base)/meta.BlockSize] = plaintext
-
-	newCtr := oldCtr + 1
-	newEff := m.effectiveCtr(chunk, newCtr)
-	m.writeCounter(level, entry, newCtr)
-	for i := range plain {
-		blockAddr := base + uint64(i*meta.BlockSize)
-		var ct [meta.BlockSize]byte
-		copy(ct[:], m.eng.Seal(blockAddr, newEff, plain[i]))
-		m.data[blockAddr] = ct
-	}
-	m.sealUnit(base, gran, newEff)
+	base := meta.ChunkBase(addr) + uint64(u.Block)*meta.BlockSize
+	level := u.Gran.Level()
+	ctr := m.stg.ctr[u.Block] + 1
+	m.writeCounter(level, m.geom.CounterEntryIndex(level, meta.BlockIndex(base)), ctr)
+	m.seal(base, u.Gran, ctr)
 	return nil
 }
 
@@ -338,31 +369,21 @@ func (m *Memory) Read(addr uint64) ([]byte, error) {
 	}
 	m.Stats.Reads++
 	base, gran := m.unitOf(addr)
-	level := gran.Level()
 
-	if err := m.verifyChain(level, meta.BlockIndex(base)); err != nil {
+	// Both verifications take their inputs inline, so a mutant that drops
+	// either one still builds and must be caught by the suite.
+	if err := m.verifyChain(gran.Level(), meta.BlockIndex(base)); err != nil {
 		return nil, err
 	}
-	minor := m.unitCounter(base, gran)
-	ctr := m.effectiveCtr(meta.ChunkIndex(base), minor)
-	sp := m.table.Current(meta.ChunkIndex(base))
-	if err := m.verifyUnit(base, gran, sp, minor, ctr); err != nil {
+	ctr := m.unitCounter(base, gran)
+	if err := m.verifyUnit(base, gran, m.table.Current(meta.ChunkIndex(base)), ctr); err != nil {
 		return nil, err
 	}
-	ct, ok := m.data[addr]
-	if !ok {
+	b := meta.BlockInChunk(addr)
+	if !m.stg.has[b] {
 		// Verified unit with no stored ciphertext for this block: pristine
 		// (or a zero-ciphertext member the MAC covers) reads as zero.
 		return make([]byte, meta.BlockSize), nil
 	}
-	return m.eng.Open(addr, ctr, ct[:]), nil
-}
-
-func (m *Memory) unitUntouched(base uint64, gran meta.Gran) bool {
-	for i := 0; i < gran.Blocks(); i++ {
-		if _, ok := m.data[base+uint64(i*meta.BlockSize)]; ok {
-			return false
-		}
-	}
-	return true
+	return m.eng.Open(addr, ctr, m.stg.ct[b][:]), nil
 }

@@ -161,13 +161,3 @@ func LoadProtected(r io.Reader, seed uint64, roots []uint64) (*Protected, error)
 	}
 	return &Protected{mem: m, trk: tracker.New(tracker.DefaultConfig())}, nil
 }
-
-// SetCounterWidth bounds the per-unit minor counters to the given number
-// of bits (real engines store small counters; saturation bumps the
-// region's major epoch and re-encrypts it transparently). Must be called
-// before the first write; 0 restores unbounded counters.
-func (p *Protected) SetCounterWidth(bits int) { p.mem.SetCounterWidth(bits) }
-
-// Overflows reports how many minor-counter saturations the image has
-// absorbed.
-func (p *Protected) Overflows() uint64 { return p.mem.Stats.Overflows }

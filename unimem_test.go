@@ -179,22 +179,3 @@ func TestProtectedSaveLoad(t *testing.T) {
 		t.Fatal("image accepted with stale roots")
 	}
 }
-
-func TestProtectedBoundedCounters(t *testing.T) {
-	p := NewProtected(1<<20, 4)
-	p.SetCounterWidth(3)
-	buf := make([]byte, BlockSize)
-	for i := 0; i < 20; i++ {
-		buf[0] = byte(i)
-		if err := p.Write(0, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.Overflows() == 0 {
-		t.Fatal("no overflow with 3-bit counters and 20 writes")
-	}
-	got, err := p.Read(0)
-	if err != nil || got[0] != 19 {
-		t.Fatalf("data lost across overflow: %v", err)
-	}
-}
