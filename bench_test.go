@@ -125,7 +125,11 @@ func sweepBench(b *testing.B, schemes []core.Scheme, metrics func([]hetero.Sweep
 	cfg := benchCfg()
 	var rs []hetero.SweepResult
 	for i := 0; i < b.N; i++ {
-		rs = hetero.Sweep(hetero.SampleScenarios(o.SampleN), schemes, cfg)
+		var err error
+		rs, err = hetero.SweepParallel(context.Background(), hetero.SampleScenarios(o.SampleN), schemes, cfg, hetero.SweepOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	metrics(rs)
 }

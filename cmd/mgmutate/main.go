@@ -42,7 +42,6 @@ import (
 	"strings"
 	"time"
 
-	"unimem/internal/lint"
 	"unimem/internal/mutate"
 )
 
@@ -97,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var targets []*lint.Package
+	var targets []*mutate.Package
 	for _, pkg := range strings.Split(*pkgsFlag, ",") {
 		pkg = strings.TrimSpace(pkg)
 		if pkg == "" {

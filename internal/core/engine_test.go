@@ -6,6 +6,7 @@ import (
 
 	"unimem/internal/mem"
 	"unimem/internal/meta"
+	"unimem/internal/probe"
 	"unimem/internal/sim"
 )
 
@@ -224,10 +225,14 @@ func TestOverfetchOnFineReadOfCoarseUnit(t *testing.T) {
 }
 
 func TestFineMACFallbackOnReadOnlyUnit(t *testing.T) {
-	tbl := meta.NewTable()
-	tbl.SetNext(0, meta.AllStream)
-	tbl.CommitAll(0)
-	r := newRig(PerPartitionOracle, Options{FixedTable: tbl, OpenUnits: 1})
+	// oracleRig serves chunk 0 as one never-written 32KB unit.
+	oracleRig := func(p probe.Probe) *rig {
+		tbl := meta.NewTable()
+		tbl.SetNext(0, meta.AllStream)
+		tbl.CommitAll(0)
+		return newRig(PerPartitionOracle, Options{FixedTable: tbl, OpenUnits: 1, Probe: p})
+	}
+	r := oracleRig(nil)
 	// Never-written unit: an unaligned fine read verifies against the
 	// retained fine MAC instead of fetching the whole unit.
 	r.do(Request{Addr: 64, Size: 64})
@@ -239,6 +244,27 @@ func TestFineMACFallbackOnReadOnlyUnit(t *testing.T) {
 	}
 	if r.mm.Stats.Reads[mem.MAC] < 2 {
 		t.Fatalf("MAC beats = %d, want coarse + retained fine", r.mm.Stats.Reads[mem.MAC])
+	}
+
+	// Blocks 0-7 share a MAC line, so block 1 cannot tell a block index
+	// from a partition index. Block 9's retained fine MAC is Fig. 9 slot
+	// 9, on the chunk's second MAC line; exactly one read must fetch it.
+	var macReads []uint64
+	r = oracleRig(probe.Func(func(e probe.Event) {
+		if e.Kind == probe.EvMemRead && e.Class == uint8(mem.MAC) {
+			macReads = append(macReads, e.Addr)
+		}
+	}))
+	r.do(Request{Addr: 9 * meta.BlockSize, Size: 64})
+	line := r.en.Geometry().MACLineAddr(0, 9)
+	hits := 0
+	for _, a := range macReads {
+		if a == line {
+			hits++
+		}
+	}
+	if hits != 1 {
+		t.Fatalf("MAC reads %#x fetch block 9's fine-MAC line %#x %d times, want once", macReads, line, hits)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestHeadlineNumbers(t *testing.T) {
 		core.Conventional, core.MultiCTROnly, core.Ours,
 		core.Adaptive, core.CommonCTR, core.BMFUnused, core.BMFUnusedOurs,
 	}
-	rs := Sweep(SampleScenarios(16), schemes, cfg)
+	rs := sweep(t, SampleScenarios(16), schemes, cfg)
 
 	conv := MeanAcross(rs, core.Conventional)
 	ours := MeanAcross(rs, core.Ours)

@@ -12,6 +12,17 @@ import (
 // engage.
 var testCfg = Config{Scale: 0.05, Seed: 1}
 
+// sweep runs SweepParallel at the default worker count and fails the test
+// on error.
+func sweep(t *testing.T, scs []Scenario, schemes []core.Scheme, cfg Config) []SweepResult {
+	t.Helper()
+	rs, err := SweepParallel(context.Background(), scs, schemes, cfg, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
 func TestAllScenariosCount(t *testing.T) {
 	all := AllScenarios()
 	if len(all) != 250 {
@@ -118,7 +129,7 @@ func TestOursBeatsConventionalOnCoarseScenario(t *testing.T) {
 func TestSweepStructure(t *testing.T) {
 	scs := SelectedScenarios()[:2]
 	schemes := []core.Scheme{core.Conventional, core.Ours}
-	rs := Sweep(scs, schemes, testCfg)
+	rs := sweep(t, scs, schemes, testCfg)
 	if len(rs) != 2 {
 		t.Fatalf("sweep results = %d", len(rs))
 	}

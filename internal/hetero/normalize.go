@@ -1,8 +1,6 @@
 package hetero
 
 import (
-	"context"
-
 	"unimem/internal/core"
 	"unimem/internal/probe"
 	"unimem/internal/stats"
@@ -64,22 +62,6 @@ type SweepResult struct {
 	Unsecure RunResult
 	// ByScheme holds one normalized entry per requested scheme.
 	ByScheme map[core.Scheme]Normalized
-}
-
-// Sweep runs each scenario under the unsecured baseline plus every
-// requested scheme. It is a compatible wrapper over SweepParallel (which
-// produces identical results at any worker count); callers that need
-// cancellation, progress reporting or an explicit worker count use
-// SweepParallel directly.
-func Sweep(scs []Scenario, schemes []core.Scheme, cfg Config) []SweepResult {
-	rs, err := SweepParallel(context.Background(), scs, schemes, cfg, SweepOptions{})
-	if err != nil {
-		// The background context never cancels, so the only error
-		// sources are failed or panicking simulation runs — surface them
-		// like the sequential sweep did.
-		panic(err)
-	}
-	return rs
 }
 
 // MeanAcross returns the mean normalized execution time of a scheme over a

@@ -6,8 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"unimem/internal/lint"
 )
 
 // The domain tier encodes the defect classes the paper's multi-granular
@@ -118,7 +116,7 @@ var constPartner = map[string]string{
 }
 
 // Sites implements Operator.
-func (op *UnitSwap) Sites(m *Module, p *lint.Package) []Site {
+func (op *UnitSwap) Sites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		switch e := n.(type) {
@@ -151,7 +149,7 @@ func (op *UnitSwap) Sites(m *Module, p *lint.Package) []Site {
 }
 
 // identSwapSite replaces one identifier in place.
-func (m *Module) identSwapSite(p *lint.Package, op Operator, ident *ast.Ident, repl, desc string) Site {
+func (m *Module) identSwapSite(p *Package, op Operator, ident *ast.Ident, repl, desc string) Site {
 	file, start, end, pos := span(p, ident)
 	return Site{
 		Op: op.Name(), Tier: op.Tier(), Pkg: p.Path, File: file,
@@ -205,7 +203,7 @@ func (*DropVerify) Doc() string {
 }
 
 // Sites implements Operator.
-func (op *DropVerify) Sites(m *Module, p *lint.Package) []Site {
+func (op *DropVerify) Sites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		call, ok := n.(*ast.CallExpr)
@@ -270,7 +268,7 @@ func (*SkipLevel) Doc() string {
 }
 
 // Sites implements Operator.
-func (op *SkipLevel) Sites(m *Module, p *lint.Package) []Site {
+func (op *SkipLevel) Sites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		fs, ok := n.(*ast.ForStmt)
@@ -343,7 +341,7 @@ func mentionsCounter(e ast.Expr) bool {
 }
 
 // Sites implements Operator.
-func (op *DropBump) Sites(m *Module, p *lint.Package) []Site {
+func (op *DropBump) Sites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		switch e := n.(type) {
@@ -410,7 +408,7 @@ var invertPairs = map[string]struct{ partner, recvSuffix string }{
 }
 
 // Sites implements Operator.
-func (op *InvertSwitch) Sites(m *Module, p *lint.Package) []Site {
+func (op *InvertSwitch) Sites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		switch e := n.(type) {
@@ -451,7 +449,7 @@ func (op *InvertSwitch) Sites(m *Module, p *lint.Package) []Site {
 }
 
 // isGran reports a meta.Gran-typed expression.
-func isGran(p *lint.Package, e ast.Expr) bool {
+func isGran(p *Package, e ast.Expr) bool {
 	return strings.HasSuffix(typeString(p.Info.TypeOf(e)), metaPathSuffix+".Gran")
 }
 
@@ -475,7 +473,7 @@ func (*DropWindow) Doc() string {
 }
 
 // Sites implements Operator.
-func (op *DropWindow) Sites(m *Module, p *lint.Package) []Site {
+func (op *DropWindow) Sites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		switch e := n.(type) {
@@ -544,7 +542,7 @@ func inTwoValueAssign(stack []ast.Node, call *ast.CallExpr) bool {
 // probeWindowSite matches the switch-window emission idiom — `if p != nil
 // { p.Event(...) }` where p is a probe — and deletes the whole guard,
 // eliding the observable window.
-func (m *Module) probeWindowSite(p *lint.Package, op Operator, ifs *ast.IfStmt) (Site, bool) {
+func (m *Module) probeWindowSite(p *Package, op Operator, ifs *ast.IfStmt) (Site, bool) {
 	cond, ok := ifs.Cond.(*ast.BinaryExpr)
 	if !ok || cond.Op != token.NEQ || ifs.Else != nil || ifs.Init != nil {
 		return Site{}, false

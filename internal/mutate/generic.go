@@ -5,8 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"unimem/internal/lint"
 )
 
 // NegateCond negates `if` conditions. The classic strongest generic
@@ -24,7 +22,7 @@ func (*NegateCond) Tier() string { return "generic" }
 func (*NegateCond) Doc() string { return "negate if-statement conditions" }
 
 // Sites implements Operator.
-func (op *NegateCond) Sites(m *Module, p *lint.Package) []Site {
+func (op *NegateCond) Sites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		ifs, ok := n.(*ast.IfStmt)
@@ -73,7 +71,7 @@ var swapIneqRepl = map[token.Token]string{
 }
 
 // Sites implements Operator.
-func (op *SwapIneq) Sites(m *Module, p *lint.Package) []Site {
+func (op *SwapIneq) Sites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		be, ok := n.(*ast.BinaryExpr)
@@ -110,7 +108,7 @@ func (*OffByOne) Tier() string { return "generic" }
 func (*OffByOne) Doc() string { return "shift comparison bounds by one (x < n becomes x < n+1)" }
 
 // Sites implements Operator.
-func (op *OffByOne) Sites(m *Module, p *lint.Package) []Site {
+func (op *OffByOne) Sites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		be, ok := n.(*ast.BinaryExpr)
@@ -134,7 +132,7 @@ func (op *OffByOne) Sites(m *Module, p *lint.Package) []Site {
 
 // isIntegerExpr reports whether the expression has an integer type (named
 // integer types included), so `+ 1` type-checks in place.
-func isIntegerExpr(p *lint.Package, e ast.Expr) bool {
+func isIntegerExpr(p *Package, e ast.Expr) bool {
 	t := p.Info.TypeOf(e)
 	if t == nil {
 		return false
@@ -160,7 +158,7 @@ func (*EarlyReturn) Tier() string { return "generic" }
 func (*EarlyReturn) Doc() string { return "return zero values at function entry, skipping the body" }
 
 // Sites implements Operator.
-func (op *EarlyReturn) Sites(m *Module, p *lint.Package) []Site {
+func (op *EarlyReturn) Sites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		fd, ok := n.(*ast.FuncDecl)
@@ -190,7 +188,7 @@ func (op *EarlyReturn) Sites(m *Module, p *lint.Package) []Site {
 // type. Types that have no spellable zero in this file (anonymous structs,
 // named types from packages the file does not import) yield ok=false and
 // the function is skipped.
-func zeroReturn(p *lint.Package, f *ast.File, fd *ast.FuncDecl) (string, bool) {
+func zeroReturn(p *Package, f *ast.File, fd *ast.FuncDecl) (string, bool) {
 	res := fd.Type.Results
 	if res == nil || len(res.List) == 0 {
 		return "return", true
@@ -229,7 +227,7 @@ func zeroReturn(p *lint.Package, f *ast.File, fd *ast.FuncDecl) (string, bool) {
 
 // zeroExpr spells the zero value of a type as it can appear in the given
 // file (respecting its imports).
-func zeroExpr(p *lint.Package, f *ast.File, t types.Type) (string, bool) {
+func zeroExpr(p *Package, f *ast.File, t types.Type) (string, bool) {
 	switch u := t.Underlying().(type) {
 	case *types.Basic:
 		switch {

@@ -12,9 +12,9 @@
 // bumps, inverted fine/coarse switch direction, and lazy-switch-window
 // elision.
 //
-// cmd/mgmutate is the CLI driver; the measurement contract is the same as
-// mglint's: deterministic output (same seed, byte-identical JSON report)
-// suitable for a CI gate against a checked-in score floor.
+// cmd/mgmutate is the command-line front end. Its output is deterministic
+// (same seed, byte-identical JSON report), so CI gates it against a
+// checked-in score floor.
 package mutate
 
 import (
@@ -25,8 +25,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-
-	"unimem/internal/lint"
 )
 
 // Site is one mutable location: a byte span of a source file plus the
@@ -82,7 +80,7 @@ type Operator interface {
 	// Doc is a one-line description for -list output.
 	Doc() string
 	// Sites returns the operator's mutable locations in one package.
-	Sites(m *Module, p *lint.Package) []Site
+	Sites(m *Module, p *Package) []Site
 }
 
 // Operators returns the full operator set in stable order.
@@ -121,7 +119,7 @@ type Module struct {
 	Path string
 	// Pkgs are the loaded packages (test files included) in import-path
 	// order.
-	Pkgs []*lint.Package
+	Pkgs []*Package
 
 	partners map[*types.Func]*types.Func
 	src      map[string][]byte
@@ -131,11 +129,11 @@ type Module struct {
 // LoadModule loads and type-checks the module containing root with test
 // files included (the import graph must see test-only imports for routing).
 func LoadModule(root string) (*Module, error) {
-	absRoot, modPath, err := lint.FindModuleRoot(root)
+	absRoot, modPath, err := findModuleRoot(root)
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := lint.Load(root, lint.LoadOptions{Tests: true})
+	pkgs, err := loadPackages(absRoot, modPath)
 	if err != nil {
 		return nil, err
 	}
@@ -157,8 +155,8 @@ func (m *Module) metaPackage() *types.Package {
 
 // PackageByPath resolves an import path (exact, or unique suffix match
 // like "internal/secmem") to a loaded package.
-func (m *Module) PackageByPath(path string) (*lint.Package, error) {
-	var hit *lint.Package
+func (m *Module) PackageByPath(path string) (*Package, error) {
+	var hit *Package
 	for _, p := range m.Pkgs {
 		if p.Path == path {
 			return p, nil
@@ -207,7 +205,7 @@ func (m *Module) Apply(s Site) ([]byte, error) {
 
 // CollectSites runs the operators over the target packages and returns all
 // sites in canonical order. Test files are never mutated.
-func (m *Module) CollectSites(targets []*lint.Package, ops []Operator) []Site {
+func (m *Module) CollectSites(targets []*Package, ops []Operator) []Site {
 	var out []Site
 	for _, p := range targets {
 		for _, op := range ops {
@@ -231,14 +229,14 @@ func (m *Module) CollectSites(targets []*lint.Package, ops []Operator) []Site {
 // --- shared AST helpers ----------------------------------------------------
 
 // span resolves a node's byte span and position within its file.
-func span(p *lint.Package, n ast.Node) (file string, start, end int, pos token.Position) {
+func span(p *Package, n ast.Node) (file string, start, end int, pos token.Position) {
 	sp := p.Fset.Position(n.Pos())
 	ep := p.Fset.Position(n.End())
 	return sp.Filename, sp.Offset, ep.Offset, sp
 }
 
 // nodeText returns the original source text of a node.
-func (m *Module) nodeText(p *lint.Package, n ast.Node) string {
+func (m *Module) nodeText(p *Package, n ast.Node) string {
 	file, start, end, _ := span(p, n)
 	src, err := m.Source(file)
 	if err != nil || end > len(src) {
@@ -248,7 +246,7 @@ func (m *Module) nodeText(p *lint.Package, n ast.Node) string {
 }
 
 // site builds a Site replacing node n with repl.
-func (m *Module) site(p *lint.Package, op Operator, n ast.Node, repl, desc string) Site {
+func (m *Module) site(p *Package, op Operator, n ast.Node, repl, desc string) Site {
 	file, start, end, pos := span(p, n)
 	return Site{
 		Op: op.Name(), Tier: op.Tier(), Pkg: p.Path,
@@ -260,7 +258,7 @@ func (m *Module) site(p *lint.Package, op Operator, n ast.Node, repl, desc strin
 
 // eachSourceFile visits the package's non-test files with a parent stack
 // (innermost ancestor last), the traversal every operator shares.
-func eachSourceFile(p *lint.Package, fn func(f *ast.File, n ast.Node, stack []ast.Node)) {
+func eachSourceFile(p *Package, fn func(f *ast.File, n ast.Node, stack []ast.Node)) {
 	for _, f := range p.Files {
 		name := p.Fset.Position(f.Pos()).Filename
 		if strings.HasSuffix(name, "_test.go") {
@@ -281,7 +279,7 @@ func eachSourceFile(p *lint.Package, fn func(f *ast.File, n ast.Node, stack []as
 
 // calleeFunc resolves the *types.Func a call invokes (nil for builtins,
 // type conversions and function-typed values).
-func calleeFunc(p *lint.Package, call *ast.CallExpr) *types.Func {
+func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		fn, _ := p.Info.Uses[fun].(*types.Func)

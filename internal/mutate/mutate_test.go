@@ -3,14 +3,15 @@ package mutate
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"unimem/internal/lint"
 )
 
 // loadFixture loads the testdata module once per test that needs it.
@@ -43,13 +44,13 @@ func fixtureOps(t *testing.T) []Operator {
 	return ops
 }
 
-func fixtureTargets(t *testing.T, m *Module) []*lint.Package {
+func fixtureTargets(t *testing.T, m *Module) []*Package {
 	t.Helper()
 	p, err := m.PackageByPath("mutmod")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []*lint.Package{p}
+	return []*Package{p}
 }
 
 func TestCollectSitesCanonicalOrder(t *testing.T) {
@@ -94,49 +95,163 @@ func TestApplySplice(t *testing.T) {
 	}
 }
 
-func TestIgnoreDirectives(t *testing.T) {
-	m := loadFixture(t)
-	targets := fixtureTargets(t, m)
-	ignores := ParseIgnores(m, targets)
-	if len(ignores.Malformed) != 0 {
-		t.Fatalf("unexpected malformed directives: %v", ignores.Malformed)
-	}
-	sites := m.CollectSites(targets, Operators())
-	covered := 0
-	for _, s := range sites {
-		if _, ok := ignores.Covers(s); ok {
-			covered++
-			if s.Op != "off-by-one" {
-				t.Errorf("directive covered wrong operator %s", s.Op)
-			}
+// loadFiles writes a throwaway module "mod" holding the given files
+// (slash-relative paths) and loads it.
+func loadFiles(t *testing.T, files map[string]string) *Module {
+	t.Helper()
+	root := t.TempDir()
+	files["go.mod"] = "module mod\n\ngo 1.22\n"
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if covered == 0 {
-		t.Error("live off-by-one directive covered no site")
+	m, err := LoadModule(root)
+	if err != nil {
+		t.Fatalf("LoadModule(%s): %v", root, err)
 	}
-	stale := ignores.Stale(m)
-	if len(stale) != 1 {
-		t.Fatalf("want exactly one stale directive, got %v", stale)
+	return m
+}
+
+// TestIgnoreDirectives pins directive placement and the staleness audit:
+// an end-of-line directive covers only its own line and a standalone one
+// only the next line; a directive naming one operator covers only that
+// operator's sites; a duplicate and a directive over no site are stale;
+// a malformed one covers nothing; a file excluded by build tags is neither
+// scanned nor mutated.
+func TestIgnoreDirectives(t *testing.T) {
+	cases := []struct {
+		name      string
+		files     map[string]string // nil: the mutmod fixture
+		covered   []string          // "file:line op" of each covered site
+		stale     []string          // "file:line" of each stale directive
+		malformed int
+	}{
+		{
+			name:    "fixture",
+			covered: []string{"clamp.go:32 off-by-one"},
+			stale:   []string{"clamp.go:38"},
+		},
+		{
+			name: "end-of-line covers only its own line",
+			files: map[string]string{"p.go": `package p
+
+func F(v int) bool { return v < 1 } //mutate:ignore swap-ineq boundary is equivalent here
+func G(v int) bool { return v < 1 }
+`},
+			covered: []string{"p.go:3 swap-ineq"},
+		},
+		{
+			name: "standalone covers only the next line",
+			files: map[string]string{"p.go": `package p
+
+//mutate:ignore all boundary is equivalent here
+func F(v int) bool { return v < 1 }
+func G(v int) bool { return v < 1 }
+`},
+			covered: []string{"p.go:4 off-by-one", "p.go:4 swap-ineq"},
+		},
+		{
+			name: "standalone naming one operator covers only its site",
+			files: map[string]string{"p.go": `package p
+
+//mutate:ignore swap-ineq boundary is equivalent here
+func F(v int) bool { return v < 1 }
+`},
+			covered: []string{"p.go:4 swap-ineq"},
+		},
+		{
+			name: "duplicate is stale",
+			files: map[string]string{"p.go": `package p
+
+//mutate:ignore swap-ineq boundary is equivalent here
+func F(v int) bool { return v < 1 } //mutate:ignore swap-ineq duplicate of the line above
+`},
+			covered: []string{"p.go:4 swap-ineq"},
+			stale:   []string{"p.go:4"},
+		},
+		{
+			name: "malformed covers nothing",
+			files: map[string]string{"p.go": `package p
+
+//mutate:ignore swap-ineq
+func F(v int) bool { return v < 1 }
+`},
+			malformed: 1,
+		},
+		{
+			name: "build-tag-excluded file is skipped",
+			files: map[string]string{
+				"p.go": "package p\n\nfunc ID(v int) int { return v }\n",
+				"gated.go": `//go:build someimplausibletag
+
+package p
+
+//mutate:ignore swap-ineq would cover F if this file were loaded
+func F(v int) bool { return v < 1 }
+`,
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var m *Module
+			var targets []*Package
+			if c.files == nil {
+				m = loadFixture(t)
+				targets = fixtureTargets(t, m)
+			} else {
+				m = loadFiles(t, c.files)
+				targets = m.Pkgs
+			}
+			ignores := ParseIgnores(m, targets)
+			if len(ignores.Malformed) != c.malformed {
+				t.Errorf("malformed = %v, want %d", ignores.Malformed, c.malformed)
+			}
+			var covered []string
+			for _, s := range m.CollectSites(targets, Operators()) {
+				if _, ok := ignores.Covers(s); ok {
+					covered = append(covered, fmt.Sprintf("%s:%d %s", filepath.Base(s.File), s.Pos.Line, s.Op))
+				}
+			}
+			slices.Sort(covered)
+			if covered = slices.Compact(covered); !slices.Equal(covered, c.covered) {
+				t.Errorf("covered sites = %v, want %v", covered, c.covered)
+			}
+			var stale []string
+			for _, msg := range ignores.Stale(m) {
+				stale = append(stale, msg[:strings.Index(msg, ": ")])
+			}
+			if !slices.Equal(stale, c.stale) {
+				t.Errorf("stale directives = %v, want %v", stale, c.stale)
+			}
+		})
 	}
 }
 
 func TestParseDirectiveErrors(t *testing.T) {
 	cases := []struct {
-		text string
-		ok   bool
+		text   string
+		ok     bool
+		reason string
 	}{
-		{"//mutate:ignore off-by-one boundary is equivalent", true},
-		{"//mutate:ignore all generated code", true},
-		{"//mutate:ignore off-by-one", false},     // no reason
-		{"//mutate:ignore", false},                // no operator
-		{"//mutate:ignore no-such-op why", false}, // unknown operator
-		{"//mutate:ignoreall smashed", false},     // no separator
+		{"//mutate:ignore off-by-one boundary is equivalent", true, "boundary is equivalent"},
+		{"//mutate:ignore all generated code", true, "generated code"},
+		{"//mutate:ignore\tswap-ineq  tab-separated   reason ", true, "tab-separated   reason"},
+		{"//mutate:ignore off-by-one", false, ""},     // no reason
+		{"//mutate:ignore all", false, ""},            // no reason
+		{"//mutate:ignore", false, ""},                // no operator
+		{"//mutate:ignore no-such-op why", false, ""}, // unknown operator
+		{"//mutate:ignoreall smashed", false, ""},     // no separator
 	}
-	dirs := newIgnoreDirectives()
 	for _, c := range cases {
-		op, reason, err := dirs.Parse(c.text)
-		if c.ok && err != nil {
-			t.Errorf("%q: want ok, got error %v", c.text, err)
+		op, reason, err := parseIgnore(c.text)
+		if c.ok && (err != nil || reason != c.reason) {
+			t.Errorf("%q: got reason %q, error %v; want reason %q", c.text, reason, err, c.reason)
 		}
 		if !c.ok && err == nil {
 			t.Errorf("%q: want error, parsed op %q reason %q", c.text, op, reason)
@@ -355,7 +470,7 @@ func TestRealModuleDomainSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var targets []*lint.Package
+	var targets []*Package
 	for _, pkg := range []string{"internal/secmem", "internal/core", "internal/tree", "internal/meta", "internal/crypto"} {
 		p, err := m.PackageByPath(pkg)
 		if err != nil {

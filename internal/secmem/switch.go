@@ -102,10 +102,28 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 // Promote raises the granularity of the partitions [first, first+count) of
 // a chunk to stream partitions, keeping the rest unchanged.
 func (m *Memory) Promote(chunk uint64, first, count int) error {
+	if err := m.checkParts(chunk, first, count); err != nil {
+		return err
+	}
 	return m.ApplyDetection(chunk, m.table.Current(chunk).PromoteMask(first, count))
 }
 
 // Demote lowers the partitions [first, first+count) back to fine-grained.
 func (m *Memory) Demote(chunk uint64, first, count int) error {
+	if err := m.checkParts(chunk, first, count); err != nil {
+		return err
+	}
 	return m.ApplyDetection(chunk, m.table.Current(chunk).DemoteMask(first, count))
+}
+
+// checkParts rejects a chunk outside the region and a partition range that
+// is empty or leaves the chunk.
+func (m *Memory) checkParts(chunk uint64, first, count int) error {
+	if chunk >= m.geom.Chunks() {
+		return fmt.Errorf("secmem: chunk %d outside the %d-chunk region", chunk, m.geom.Chunks())
+	}
+	if first < 0 || count < 1 || count > meta.PartsPerChunk-first {
+		return fmt.Errorf("secmem: partitions [%d, %d+%d) outside a %d-partition chunk", first, first, count, meta.PartsPerChunk)
+	}
+	return nil
 }

@@ -343,7 +343,8 @@ func (g *gen) randomStep() Request {
 	if g.p.RandomRun > 1 {
 		// Continue sequentially for RandomRun transactions total.
 		g.runLeft = g.p.RandomRun - 1
-		//lint:ignore mglint/alignment the run continues at the end of this naturally-aligned transaction, which is itself size-aligned
+		// The run continues at the end of this naturally aligned
+		// transaction, which is itself size-aligned.
 		g.runAddr = addr + uint64(size)
 	}
 	return Request{

@@ -99,12 +99,15 @@ func (p *Protected) apply(dets []tracker.Detection) error {
 func (p *Protected) GranOf(addr uint64) Gran { return p.mem.GranOf(addr) }
 
 // Promote raises count 512B partitions starting at partition first of the
-// given 32KB chunk to stream (coarse) granularity.
+// given 32KB chunk to stream (coarse) granularity. A chunk outside the
+// image, or a range that is empty or leaves the chunk, returns an error
+// and changes nothing.
 func (p *Protected) Promote(chunk uint64, first, count int) error {
 	return p.mem.Promote(chunk, first, count)
 }
 
-// Demote lowers partitions back to fine granularity.
+// Demote lowers partitions back to fine granularity. It rejects the same
+// bad arguments as Promote.
 func (p *Protected) Demote(chunk uint64, first, count int) error {
 	return p.mem.Demote(chunk, first, count)
 }

@@ -73,23 +73,16 @@ func RunNormalized(sc Scenario, s Scheme, cfg SimConfig) Normalized {
 	return hetero.Normalize(hetero.Run(sc, s, cfg), base)
 }
 
-// Sweep runs scenarios across schemes with a shared unsecured baseline per
-// scenario (the engine behind Figures 15-19). It runs on the parallel
-// sweep engine with one worker per CPU; use SweepParallel for an explicit
-// worker count, cancellation, or progress reporting.
-func Sweep(scs []Scenario, schemes []Scheme, cfg SimConfig) []hetero.SweepResult {
-	return hetero.Sweep(scs, schemes, cfg)
-}
-
 // SweepOptions configures SweepParallel (worker count, progress callback).
 type SweepOptions = hetero.SweepOptions
 
 // SweepProgress is one progress update of a parallel sweep.
 type SweepProgress = hetero.SweepProgress
 
-// SweepParallel runs the sweep on a worker pool with deterministic,
-// sequential-identical results, context cancellation and optional progress
-// reporting.
+// SweepParallel runs scenarios across schemes with a shared unsecured
+// baseline per scenario (the engine behind Figures 15-19) on a worker pool,
+// with deterministic, sequential-identical results, context cancellation
+// and optional progress reporting. A failed run is returned as the error.
 func SweepParallel(ctx context.Context, scs []Scenario, schemes []Scheme, cfg SimConfig, opts SweepOptions) ([]hetero.SweepResult, error) {
 	return hetero.SweepParallel(ctx, scs, schemes, cfg, opts)
 }

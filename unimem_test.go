@@ -3,6 +3,7 @@ package unimem
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -108,6 +109,48 @@ func TestProtectedManualSwitching(t *testing.T) {
 	}
 	if err := p.Verify(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProtectedRejectsBadSwitchRange: Promote and Demote reject a chunk
+// outside the image and a partition range that is empty or leaves the
+// chunk, with an error and no change to the image. Chunk 0 starts half
+// promoted, so a bad range that slipped through would change it either way.
+func TestProtectedRejectsBadSwitchRange(t *testing.T) {
+	const size = 1 << 20
+	p := NewProtected(size, 9)
+	if err := p.Promote(0, 32, 32); err != nil {
+		t.Fatal(err)
+	}
+	pre := p.Snapshot()
+	cases := []struct {
+		chunk        uint64
+		first, count int
+	}{
+		{0, 5, 99},
+		{0, 0, -3},
+		{0, 0, 0},
+		{0, -1, 1},
+		{0, 70, 1},
+		{0, 64, 1},
+		{0, 60, 5},
+		{0, 1, math.MaxInt},
+		{size / ChunkSize, 0, 1},
+		{1000, 0, 1},
+	}
+	ops := []struct {
+		name string
+		fn   func(uint64, int, int) error
+	}{{"Promote", p.Promote}, {"Demote", p.Demote}}
+	for _, c := range cases {
+		for _, op := range ops {
+			if err := op.fn(c.chunk, c.first, c.count); err == nil {
+				t.Errorf("%s(%d, %d, %d) = nil, want an error", op.name, c.chunk, c.first, c.count)
+			}
+			if !p.Snapshot().s.Equal(pre.s) {
+				t.Fatalf("%s(%d, %d, %d) changed the image", op.name, c.chunk, c.first, c.count)
+			}
+		}
 	}
 }
 
