@@ -1,10 +1,10 @@
 # Development entry points. `make check` is the full local gate; CI runs it
-# plus the race detector and the invariants-armed test suite (see
-# .github/workflows/ci.yml).
+# plus the race detector, the attack soak, the mutation, coverage and
+# benchmark-digest gates (see .github/workflows/ci.yml).
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-race test-race-sweep attack-soak test-invariants fuzz cover mutate mutate-full bench-check
+.PHONY: check fmt vet build test test-race test-race-sweep attack-soak fuzz cover mutate mutate-full bench-check
 
 check: fmt vet build test test-race-sweep
 
@@ -36,9 +36,6 @@ test-race-sweep:
 attack-soak:
 	$(GO) test -race -short ./internal/attack/
 
-test-invariants:
-	$(GO) test -tags invariants ./...
-
 # Coverage gate: run the suite with a profile and compare the total against
 # the checked-in floor (coverage-floor.txt). A drop of 2 points or more
 # fails; raise the floor when new tests push coverage up so it can't quietly
@@ -60,13 +57,13 @@ cover:
 # per-package score below mutation-floor.txt or on any untriaged survivor.
 # CI uploads mgmutate-report.json as an artifact.
 mutate:
-	$(GO) run ./cmd/mgmutate -sample 12 -seed 1 -short -tags invariants -v \
+	$(GO) run ./cmd/mgmutate -sample 12 -seed 1 -short -v \
 		-floor mutation-floor.txt -no-survivors -o mgmutate-report.json ./...
 
 # Exhaustive tier: every derivable mutant, no sampling. Slow; run before
 # raising mutation-floor.txt or after reworking a target package.
 mutate-full:
-	$(GO) run ./cmd/mgmutate -short -tags invariants -v \
+	$(GO) run ./cmd/mgmutate -short -v \
 		-floor mutation-floor.txt -no-survivors -o mgmutate-full.json ./...
 
 # Reference-digest gate: one short untraced run of all five benchmark
@@ -81,7 +78,7 @@ bench-check:
 
 # Short fuzz pass over the fuzz targets (seed corpus runs in plain `test`).
 fuzz:
-	$(GO) test -tags invariants -run '^$$' -fuzz FuzzMACSlot -fuzztime 30s ./internal/meta/
-	$(GO) test -tags invariants -run '^$$' -fuzz FuzzGeometryEqs -fuzztime 30s ./internal/meta/
-	$(GO) test -tags invariants -run '^$$' -fuzz FuzzTrackerEviction -fuzztime 30s ./internal/tracker/
-	$(GO) test -tags invariants -run '^$$' -fuzz FuzzAttackCheck -fuzztime 30s ./internal/secmem/
+	$(GO) test -run '^$$' -fuzz FuzzMACSlot -fuzztime 30s ./internal/meta/
+	$(GO) test -run '^$$' -fuzz FuzzGeometryEqs -fuzztime 30s ./internal/meta/
+	$(GO) test -run '^$$' -fuzz FuzzTrackerEviction -fuzztime 30s ./internal/tracker/
+	$(GO) test -run '^$$' -fuzz FuzzAttackCheck -fuzztime 30s ./internal/secmem/

@@ -40,6 +40,10 @@ func main() {
 	progress := flag.Bool("progress", false, "report sweep progress on stderr")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
+	if !(*scale > 0) { // NaN fails too
+		fmt.Fprintf(os.Stderr, "-scale must be positive, got %v\n", *scale)
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println(strings.Join(report.IDs(), "\n"))

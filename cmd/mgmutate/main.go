@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout     = fs.Duration("timeout", 2*time.Minute, "per-test-invocation deadline")
 		workers     = fs.Int("workers", 0, "parallel mutants (0 = NumCPU/2)")
 		short       = fs.Bool("short", false, "pass -short to routed test packages")
-		tags        = fs.String("tags", "", "pass -tags to routed test packages (e.g. invariants)")
 		out         = fs.String("o", "", "write the JSON report to this file")
 		floorFile   = fs.String("floor", "", "gate per-package scores against this floor file")
 		noSurvivors = fs.Bool("no-survivors", false, "fail if any surviving mutant is untriaged")
@@ -162,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	results, err := m.Run(context.Background(), sites, ignores, mutate.RunOptions{
 		Sample: *sample, Seed: *seed, Workers: *workers,
-		Timeout: *timeout, Short: *short, Tags: *tags, Verbose: *verbose, Stderr: stderr,
+		Timeout: *timeout, Short: *short, Verbose: *verbose, Stderr: stderr,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "mgmutate: %v\n", err)

@@ -54,6 +54,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if !(*scale > 0) { // NaN fails too
+		fmt.Fprintf(stderr, "-scale must be positive, got %v\n", *scale)
+		return 2
+	}
 
 	if *list {
 		fmt.Fprintln(stdout, "selected scenarios:")

@@ -111,6 +111,8 @@ func TestBadArgs(t *testing.T) {
 		{"-scenario", "zz9"},
 		{"-bogusflag"},
 		{"-attack", "no-such-class"},
+		{"-scale", "0"},
+		{"-scale", "-1"},
 	}
 	for _, args := range cases {
 		out, errs, code := runCmd(t, args...)

@@ -89,6 +89,8 @@ func TestBadArgs(t *testing.T) {
 		{"-workload", "nosuch"}, // unknown workload
 		{"-replay", missing},    // unreadable trace
 		{"-bogusflag"},          // flag parse error
+		{"-workload", "alex", "-scale", "0"},
+		{"-workload", "alex", "-scale", "-1"},
 	}
 	for _, args := range cases {
 		out, errs, code := runCmd(t, args...)

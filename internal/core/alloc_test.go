@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"unimem/internal/check"
 	"unimem/internal/meta"
 	"unimem/internal/sim"
 	"unimem/internal/tracker"
@@ -23,9 +22,6 @@ import (
 // allow; the test asserts that those classes advance, so the guard cannot
 // quietly stop covering the switching paths.
 func TestSubmitSteadyStateZeroAlloc(t *testing.T) {
-	if check.Enabled {
-		t.Skip("invariants build: armed assertions are allowed to allocate")
-	}
 	for _, s := range Schemes {
 		t.Run(s.String(), func(t *testing.T) {
 			// Four tracker entries let eight chunks evict each other's

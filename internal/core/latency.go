@@ -1,8 +1,7 @@
 package core
 
 import (
-	"math/bits"
-
+	"unimem/internal/probe"
 	"unimem/internal/sim"
 )
 
@@ -31,52 +30,9 @@ func (d *DeviceStats) MeanReadLatencyPs() float64 {
 	return float64(d.ReadLatencyPs) / float64(d.Reads)
 }
 
-// latencyBuckets is the histogram resolution: bucket i holds reads with
-// latency in [2^i, 2^(i+1)) nanoseconds; the last bucket is open-ended.
-const latencyBuckets = 24
-
-// LatencyHistogram is a power-of-two histogram of read latencies.
-type LatencyHistogram [latencyBuckets]uint64
-
-// Add records one latency.
-func (h *LatencyHistogram) Add(d sim.Time) {
-	ns := uint64(d) / 1000
-	b := bits.Len64(ns)
-	if b >= latencyBuckets {
-		b = latencyBuckets - 1
-	}
-	h[b]++
-}
-
-// Total returns the number of recorded samples.
-func (h *LatencyHistogram) Total() uint64 {
-	var t uint64
-	for _, v := range h {
-		t += v
-	}
-	return t
-}
-
-// Percentile returns an upper bound of the p-th percentile latency in
-// nanoseconds (bucket resolution).
-func (h *LatencyHistogram) Percentile(p float64) uint64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	want := uint64(p / 100 * float64(total))
-	if want == 0 {
-		want = 1
-	}
-	var seen uint64
-	for i, v := range h {
-		seen += v
-		if seen >= want {
-			return 1 << uint(i) // upper bound of bucket i-1 span
-		}
-	}
-	return 1 << (latencyBuckets - 1)
-}
+// LatencyHistogram is the power-of-two read-latency histogram the engine
+// fills; the probe collector's summary uses the same type.
+type LatencyHistogram = probe.LatencyHistogram
 
 // DeviceStats returns device i's accounting (zero value out of range).
 func (e *Engine) DeviceStats(i int) DeviceStats {

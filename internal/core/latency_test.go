@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"unimem/internal/meta"
+	"unimem/internal/probe"
 )
 
 func TestLatencyHistogram(t *testing.T) {
@@ -18,7 +19,7 @@ func TestLatencyHistogram(t *testing.T) {
 	if p := h.Percentile(50); p > 256 {
 		t.Fatalf("p50 = %dns, want <= 256", p)
 	}
-	if p := h.Percentile(100); p != 1<<(latencyBuckets-1) {
+	if p := h.Percentile(100); p != 1<<(probe.LatencyBuckets-1) {
 		t.Fatalf("p100 = %d", p)
 	}
 	var empty LatencyHistogram

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"unimem/internal/check"
 	"unimem/internal/mem"
 	"unimem/internal/meta"
 	"unimem/internal/probe"
@@ -232,12 +231,6 @@ func (e *Engine) Submit(r Request, done func(sim.Time)) {
 // are scheme-agnostic: every per-scheme decision goes through the cached
 // Spec traits or a Policy seam (GranRules, MACLine, CounterMode).
 func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
-	if check.Enabled {
-		check.Assertf(meta.Aligned(r.Addr, meta.BlockSize) && r.Size > 0 && r.Size%meta.BlockSize == 0,
-			"request not 64B-block shaped: addr=%#x size=%d", r.Addr, r.Size)
-		check.Assertf(meta.ChunkIndex(r.Addr) == meta.ChunkIndex(r.Addr+uint64(r.Size)-1),
-			"request crosses a chunk boundary: addr=%#x size=%d", r.Addr, r.Size)
-	}
 	e.Stats.Requests++
 	e.recordIssue(r)
 	e.probeIssue(r)
@@ -344,14 +337,6 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 			blockIdx := meta.BlockIndex(u.base)
 			walk := e.walkUnit(blockIdx, u.gran, r.Write)
 			e.probeWalk(r, walk)
-			if check.Enabled {
-				// Counter delegation (Fig. 10): a unit whose counter was promoted
-				// to level gran.Level() skips exactly that many leaf levels, so
-				// the walk can never touch more stored levels than Eq. 2 allows.
-				check.Assertf(walk.Levels <= e.geom.WalkLen(u.gran),
-					"walk of %v unit touched %d levels, delegation allows %d",
-					u.gran, walk.Levels, e.geom.WalkLen(u.gran))
-			}
 			e.Stats.WalkLevels += uint64(walk.Levels)
 			if walk.Pruned {
 				e.Stats.PrunedWalks++
@@ -379,13 +364,6 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 	var lastLine uint64 = ^uint64(0)
 	for _, u := range e.macUnits {
 		lineAddr := e.pol.MACLine(e.geom, chunk, chunkBase, sp, u, macRule)
-		if check.Enabled {
-			// MAC compaction (Fig. 9) must resolve into the chunk's own
-			// fixed reservation, never a neighbour's or the counter region.
-			check.Assertf(lineAddr >= e.geom.MACLineAddr(chunk, 0) &&
-				lineAddr <= e.geom.MACLineAddr(chunk, meta.BlocksPerChunk-1),
-				"MAC line %#x outside chunk %d reservation", lineAddr, chunk)
-		}
 		if lineAddr != lastLine {
 			lastLine = lineAddr
 			hit, wb := e.macCache.Access(lineAddr, r.Write)
@@ -539,11 +517,6 @@ func appendUnits(dst []unitSpan, sp meta.StreamPart, chunkBase uint64, r Request
 		if g > rule.cap {
 			g = rule.cap
 			base = meta.AlignGran(addr, g)
-		}
-		if check.Enabled {
-			check.Assertf(meta.Aligned(base, g.Bytes()),
-				"unit base %#x not aligned to its %v granularity", base, g)
-			check.Assertf(base+g.Bytes() > addr, "unit at %#x makes no progress past %#x", base, addr)
 		}
 		dst = append(dst, unitSpan{base: base, gran: g})
 		addr = base + g.Bytes()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"unimem/internal/check"
 	"unimem/internal/mem"
 	"unimem/internal/meta"
 	"unimem/internal/probe"
@@ -96,9 +95,6 @@ func (e *Engine) handleSwitches(r Request, chunk, chunkBase uint64, op *chunkOp)
 			continue
 		}
 		from, to := e.table.CommitUnit(chunk, b)
-		if from == to {
-			continue
-		}
 		switched = true
 		if !e.spec.FreeSwitch {
 			e.chargeSwitch(r, chunk, chunkBase, b, from, to, op, &classified)
@@ -114,12 +110,6 @@ func (e *Engine) handleSwitches(r Request, chunk, chunkBase uint64, op *chunkOp)
 
 // chargeSwitch implements the Table 2 cost matrix for one switched unit.
 func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, to meta.Gran, op *chunkOp, classified *bool) {
-	if check.Enabled {
-		check.Assertf(from != to, "chargeSwitch for a non-switch at chunk %d block %d", chunk, b)
-		check.Assertf(b >= 0 && b < meta.BlocksPerChunk, "switch block %d outside chunk", b)
-		check.Assertf(from >= meta.Gran64 && from <= meta.Gran32K && to >= meta.Gran64 && to <= meta.Gran32K,
-			"switch between invalid granularities %v -> %v", from, to)
-	}
 	lastW := e.lastWrite[chunk]
 	blockIdx := meta.BlockIndex(chunkBase + uint64(b)*meta.BlockSize)
 

@@ -54,8 +54,9 @@ func FuzzMACSlot(f *testing.F) {
 // FuzzGeometryEqs fuzzes the Eq. 1-4 metadata address computation across
 // region sizes: parent-index division (Eq. 3), counter lines confined to the
 // counter region and ascending with level (Eq. 4), and compacted MAC
-// addresses confined to the MAC region (Eq. 1). Under -tags invariants the
-// MACAddrFor call additionally exercises the internal/check assertions.
+// addresses confined to the MAC region (Eq. 1) with the granularity the
+// encoding assigns the block. It states the tree walker's fetch order: a
+// walk fetches these lines level by level, so its fetches ascend.
 func FuzzGeometryEqs(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(0))
 	f.Add(uint64(128), uint64(511), uint64(AllStream))

@@ -1,10 +1,6 @@
 package meta
 
-import (
-	"fmt"
-
-	"unimem/internal/check"
-)
+import "fmt"
 
 // Geometry lays out the protected data region and its security metadata:
 // the compacted MAC region (Eq. 1), the 8-ary counter tree levels
@@ -149,15 +145,6 @@ func (g *Geometry) MACAddr(chunkIdx uint64, slot int) uint64 {
 func (g *Geometry) MACAddrFor(addr uint64, sp StreamPart) (uint64, Gran) {
 	b := BlockInChunk(addr)
 	slot, gran := sp.MACSlot(b)
-	if check.Enabled {
-		// Fig. 9 compaction: a resolved slot must fall inside the occupied
-		// prefix of the chunk's fixed reservation, and the granularity
-		// stored there must agree with the encoding's view of the block.
-		check.Assertf(slot >= 0 && slot < sp.SlotsUsed(),
-			"MAC slot %d outside compacted prefix %d (encoding %#x)", slot, sp.SlotsUsed(), uint64(sp))
-		check.Assertf(gran == sp.GranOfBlock(b),
-			"MAC slot granularity %v disagrees with encoding %v for block %d", gran, sp.GranOfBlock(b), b)
-	}
 	return g.MACAddr(ChunkIndex(addr), slot), gran
 }
 

@@ -1,7 +1,5 @@
 package meta
 
-import "unimem/internal/check"
-
 // Table is the granularity table of paper section 4.4: per 32KB chunk it
 // stores the current granularity encoding and, to support lazy granularity
 // switching, the next (detected but not yet applied) encoding. The table
@@ -97,20 +95,9 @@ func (t *Table) CommitUnit(chunk uint64, b int) (from, to Gran) {
 		gm := maskRange(g*8, 8)
 		merged = merged&^gm | next&gm
 	}
-	if check.Enabled {
-		// Table well-formedness after a lazy commit: the committed unit now
-		// carries its target granularity (the span covered the coarser of
-		// the two encodings), and the switch for this unit is fully applied.
-		check.Assertf(merged.GranOf(p) == to,
-			"commit of chunk %d part %d landed at %v, want %v (cur=%#x next=%#x)",
-			chunk, p, merged.GranOf(p), to, uint64(cur), uint64(next))
-	}
 	t.cur[chunk] = merged
 	if merged == next {
 		delete(t.next, chunk)
-	}
-	if check.Enabled {
-		check.Assertf(!t.Pending(chunk, b), "chunk %d block %d still pending after commit", chunk, b)
 	}
 	return from, to
 }

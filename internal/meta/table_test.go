@@ -110,7 +110,10 @@ func TestReset(t *testing.T) {
 }
 
 // Property: repeatedly committing units for random blocks converges the
-// current encoding to the pending one, regardless of order.
+// current encoding to the pending one, regardless of order. Every single
+// commit lands its partition at the returned target granularity and leaves
+// nothing pending there, and a pending partition always commits a genuine
+// switch (from != to), which the engine's switch charging relies on.
 func TestCommitConvergesProperty(t *testing.T) {
 	for seed := uint64(1); seed < 40; seed++ {
 		tb := NewTable()
@@ -123,7 +126,18 @@ func TestCommitConvergesProperty(t *testing.T) {
 		// that permutes 0..63).
 		for i := 0; i < PartsPerChunk; i++ {
 			p := (i*37 + int(seed)) % PartsPerChunk
-			tb.CommitUnit(3, p*BlocksPerPartition)
+			b := p * BlocksPerPartition
+			pending := tb.Pending(3, b)
+			from, to := tb.CommitUnit(3, b)
+			if pending && from == to {
+				t.Fatalf("seed %d part %d: pending commit returned no switch (%v)", seed, p, from)
+			}
+			if g := tb.Current(3).GranOf(p); g != to {
+				t.Fatalf("seed %d part %d: committed to %v, want %v", seed, p, g, to)
+			}
+			if tb.Pending(3, b) {
+				t.Fatalf("seed %d part %d: still pending after its commit", seed, p)
+			}
 		}
 		if tb.Current(3) != next {
 			t.Fatalf("seed %d: current %#x, want %#x", seed, uint64(tb.Current(3)), uint64(next))
@@ -135,38 +149,41 @@ func TestCommitConvergesProperty(t *testing.T) {
 }
 
 // A partial commit must never complete a coarser pattern the next encoding
-// did not ask for: with partitions 24..30 already streaming, promoting
-// partition 31 alone would set the group to 0xff — which the encoding
-// defines as a 4KB unit — silently reinterpreting metadata laid out as
-// eight 512B partitions. Such commits widen to take the whole group from
-// next instead (a regression fixed alongside the invariants layer).
+// did not ask for. The encoding defines an 0xff group as one 4KB unit and
+// AllStream as one 32KB unit, so completing either bit by bit would
+// silently reinterpret metadata laid out under the old encoding. Such
+// commits widen to take the whole group (or chunk) from next instead.
 func TestCommitDoesNotAccidentallyCoarsen(t *testing.T) {
-	tb := NewTable()
-	cur := StreamPart(0x7f) << 24  // group 3: partitions 24..30 stream
-	next := StreamPart(0x80) << 24 // group 3: only partition 31 streams
-	tb.SetNext(3, cur)
-	tb.CommitAll(3)
-	tb.SetNext(3, next)
-
-	p := 31
-	from, to := tb.CommitUnit(3, p*BlocksPerPartition)
-	if from != Gran64 || to != Gran512 {
-		t.Fatalf("commit = %v->%v, want 64B->512B", from, to)
+	cases := []struct {
+		name      string
+		cur, next StreamPart
+		p         int
+		from, to  Gran
+	}{
+		// Partitions 24..30 stream; promoting 31 alone would set group 3
+		// to 0xff.
+		{"group", StreamPart(0x7f) << 24, StreamPart(0x80) << 24, 31, Gran64, Gran512},
+		// Completing the last group of an otherwise fully streaming chunk
+		// would form AllStream; the group widening alone prevents it.
+		{"chunk via last group", AllStream &^ (StreamPart(0x80) << 56), StreamPart(0x80) << 56, 63, Gran64, Gran512},
+		// Partition 0 joins next's 4KB group 0, which would complete
+		// AllStream; next's group 0 is itself 0xff, so only the chunk
+		// widening keeps the commit off 32KB.
+		{"chunk via 4KB unit", AllStream &^ 1, AllStream &^ (StreamPart(0xff) << 56), 0, Gran64, Gran4K},
 	}
-	if g := tb.Current(3).GranOf(p); g != Gran512 {
-		t.Fatalf("partition %d at %v after commit, want 512B", p, g)
-	}
-
-	// The chunk-level analogue: completing the last group of an otherwise
-	// fully streaming chunk must not form AllStream (= one 32KB unit).
-	tb2 := NewTable()
-	cur2 := AllStream &^ (StreamPart(0x80) << 56) // all but partition 63
-	next2 := StreamPart(0x80) << 56               // only partition 63
-	tb2.SetNext(4, cur2)
-	tb2.CommitAll(4)
-	tb2.SetNext(4, next2)
-	tb2.CommitUnit(4, 63*BlocksPerPartition)
-	if g := tb2.Current(4).GranOf(63); g != Gran512 {
-		t.Fatalf("partition 63 at %v after commit, want 512B", g)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tb := NewTable()
+			tb.SetNext(3, c.cur)
+			tb.CommitAll(3)
+			tb.SetNext(3, c.next)
+			from, to := tb.CommitUnit(3, c.p*BlocksPerPartition)
+			if from != c.from || to != c.to {
+				t.Fatalf("commit = %v->%v, want %v->%v", from, to, c.from, c.to)
+			}
+			if g := tb.Current(3).GranOf(c.p); g != c.to {
+				t.Fatalf("partition %d at %v after commit, want %v (current %#x)", c.p, g, c.to, uint64(tb.Current(3)))
+			}
+		})
 	}
 }

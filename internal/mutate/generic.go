@@ -26,7 +26,7 @@ func (op *NegateCond) Sites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		ifs, ok := n.(*ast.IfStmt)
-		if !ok || isColdGuard(ifs.Cond) {
+		if !ok {
 			return
 		}
 		orig := m.nodeText(p, ifs.Cond)
@@ -34,19 +34,6 @@ func (op *NegateCond) Sites(m *Module, p *Package) []Site {
 			"condition negated: both branches must be distinguishable by a test"))
 	})
 	return out
-}
-
-// isColdGuard reports conditions that only arm debug invariants
-// (`check.Enabled` build-tag gates): negating one turns assertions on, a
-// configuration change rather than a defect, so no mutant is derived.
-func isColdGuard(cond ast.Expr) bool {
-	switch e := ast.Unparen(cond).(type) {
-	case *ast.Ident:
-		return e.Name == "Enabled"
-	case *ast.SelectorExpr:
-		return e.Sel.Name == "Enabled"
-	}
-	return false
 }
 
 // SwapIneq swaps strict and non-strict comparisons (`<` ↔ `<=`,

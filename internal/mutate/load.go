@@ -115,13 +115,13 @@ func loadPackages(root, module string) ([]*Package, error) {
 
 // defaultTag evaluates one build-constraint tag under the default build
 // configuration: the host platform, the gc toolchain and every go1.x
-// release tag. Every other tag (invariants, say) is unset.
+// release tag. Every other tag is unset, as in a plain `go build`.
 func defaultTag(tag string) bool {
 	return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" || strings.HasPrefix(tag, "go1.")
 }
 
-// buildIncluded reports whether the file's //go:build lines hold under the
-// default build configuration.
+// buildIncluded reports whether the file's build constraints hold under
+// the default build configuration.
 func buildIncluded(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {

@@ -64,9 +64,6 @@ type RunOptions struct {
 	Timeout time.Duration
 	// Short passes -short to the routed test packages.
 	Short bool
-	// Tags passes -tags to the routed test packages (e.g. "invariants",
-	// arming the runtime assertion layer as an additional mutant observer).
-	Tags string
 	// Verbose streams per-mutant progress lines to Stderr.
 	Verbose bool
 	// Stderr receives progress output (nil = discard).
@@ -277,9 +274,6 @@ func (m *Module) goTest(ctx context.Context, overlayFile string, pkgs []string, 
 		fmt.Sprintf("-timeout=%s", opts.Timeout)}
 	if opts.Short {
 		args = append(args, "-short")
-	}
-	if opts.Tags != "" {
-		args = append(args, "-tags="+opts.Tags)
 	}
 	args = append(args, pkgs...)
 	cmd := exec.CommandContext(ctx, "go", args...)

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"unimem/internal/mem"
+	"unimem/internal/sim"
 )
 
 // MaxWalkLevels caps the walk-length histogram; walks longer than this
@@ -11,10 +12,55 @@ import (
 // in the last bucket.
 const MaxWalkLevels = 16
 
-// LatencyBuckets is the retire-latency histogram resolution: bucket i holds
+// LatencyBuckets is the read-latency histogram resolution: bucket i holds
 // reads with latency in [2^i, 2^(i+1)) nanoseconds, the last bucket is
-// open-ended (same convention as core.LatencyHistogram).
+// open-ended.
 const LatencyBuckets = 24
+
+// LatencyHistogram is a power-of-two histogram of read latencies.
+type LatencyHistogram [LatencyBuckets]uint64
+
+// Add records one latency.
+func (h *LatencyHistogram) Add(d sim.Time) {
+	if d < 0 {
+		d = 0
+	}
+	b := bits.Len64(uint64(d) / 1000)
+	if b >= LatencyBuckets {
+		b = LatencyBuckets - 1
+	}
+	h[b]++
+}
+
+// Total returns the number of recorded samples.
+func (h *LatencyHistogram) Total() uint64 {
+	var t uint64
+	for _, v := range h {
+		t += v
+	}
+	return t
+}
+
+// Percentile returns an upper bound of the p-th percentile latency in
+// nanoseconds (bucket resolution).
+func (h *LatencyHistogram) Percentile(p float64) uint64 {
+	total := h.Total()
+	if total == 0 {
+		return 0
+	}
+	want := uint64(p / 100 * float64(total))
+	if want == 0 {
+		want = 1
+	}
+	var seen uint64
+	for i, v := range h {
+		seen += v
+		if seen >= want {
+			return 1 << uint(i) // upper bound of bucket i-1 span
+		}
+	}
+	return 1 << (LatencyBuckets - 1)
+}
 
 // NumTrafficKinds is the number of DRAM traffic kinds accounted (mirrors
 // mem: data, counter, mac, grantable, switch).
@@ -60,8 +106,8 @@ type Summary struct {
 	WalkMisses  uint64
 	Pruned      uint64
 	SubtreeHits uint64
-	// LatencyHist is the read-retire latency histogram (power-of-two ns).
-	LatencyHist [LatencyBuckets]uint64
+	// LatencyHist is the read-retire latency histogram.
+	LatencyHist LatencyHistogram
 	// Switches counts committed granularity switches by Table 2 class.
 	Switches [NumSwitchClasses]uint64
 	// Traffic is the DRAM beat breakdown by traffic kind.
@@ -133,7 +179,7 @@ func (c *Collector) Event(e Event) {
 		}
 	case EvRetire:
 		if !e.Write {
-			c.LatencyHist[latBucket(e.Val)]++
+			c.LatencyHist.Add(sim.Time(e.Val))
 			c.dev(e.Device).ReadLatencyPs += e.Val
 		}
 	case EvWalk:
@@ -186,18 +232,6 @@ func (c *Collector) Event(e Event) {
 			c.Traffic[e.Class].WriteBeats += uint64(e.Val)
 		}
 	}
-}
-
-// latBucket maps a latency in ps to its power-of-two ns bucket.
-func latBucket(ps int64) int {
-	if ps < 0 {
-		ps = 0
-	}
-	b := bits.Len64(uint64(ps) / 1000)
-	if b >= LatencyBuckets {
-		b = LatencyBuckets - 1
-	}
-	return b
 }
 
 // Merge folds another summary into s (for cross-run aggregation).
@@ -275,30 +309,6 @@ func (s *Summary) TrafficShare(k mem.Kind) float64 {
 		return 0
 	}
 	return float64(s.TrafficBytes(k)) / float64(total)
-}
-
-// LatencyPercentile returns an upper bound of the p-th percentile read
-// latency in nanoseconds (bucket resolution).
-func (s *Summary) LatencyPercentile(p float64) uint64 {
-	var total uint64
-	for _, v := range s.LatencyHist {
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	want := uint64(p / 100 * float64(total))
-	if want == 0 {
-		want = 1
-	}
-	var seen uint64
-	for i, v := range s.LatencyHist {
-		seen += v
-		if seen >= want {
-			return 1 << uint(i)
-		}
-	}
-	return 1 << (LatencyBuckets - 1)
 }
 
 // SwitchTotal returns the number of charged switch events.

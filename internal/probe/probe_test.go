@@ -154,8 +154,8 @@ func TestCollectorReducesEveryKind(t *testing.T) {
 		t.Errorf("MeanWalkLevels = %v, want 5/3", got)
 	}
 	// 1500ns lands in bucket [1024, 2048) -> percentile upper bound 2048.
-	if got := s.LatencyPercentile(50); got != 2048 {
-		t.Errorf("LatencyPercentile(50) = %d, want 2048", got)
+	if got := s.LatencyHist.Percentile(50); got != 2048 {
+		t.Errorf("LatencyHist.Percentile(50) = %d, want 2048", got)
 	}
 }
 
@@ -215,17 +215,19 @@ func TestSummaryMerge(t *testing.T) {
 	}
 }
 
-func TestLatBucket(t *testing.T) {
+func TestLatencyHistogramBuckets(t *testing.T) {
 	cases := []struct {
-		ps   int64
+		ps   sim.Time
 		want int
 	}{
 		{-5, 0}, {0, 0}, {999, 0}, {1000, 1}, {1999, 1}, {2000, 2},
 		{1_000_000, 10}, {1 << 62, LatencyBuckets - 1},
 	}
 	for _, c := range cases {
-		if got := latBucket(c.ps); got != c.want {
-			t.Errorf("latBucket(%d) = %d, want %d", c.ps, got, c.want)
+		var h LatencyHistogram
+		h.Add(c.ps)
+		if h[c.want] != 1 || h.Total() != 1 {
+			t.Errorf("Add(%d) filled %v, want bucket %d", c.ps, h, c.want)
 		}
 	}
 }

@@ -74,17 +74,7 @@ func (m *Memory) Save(w io.Writer) (roots []uint64, err error) {
 		}
 	}
 	put(uint64(len(m.counters)))
-	ctrKeys := make([]counterKey, 0, len(m.counters))
-	for k := range m.counters {
-		ctrKeys = append(ctrKeys, k)
-	}
-	sort.Slice(ctrKeys, func(i, j int) bool {
-		if ctrKeys[i].level != ctrKeys[j].level {
-			return ctrKeys[i].level < ctrKeys[j].level
-		}
-		return ctrKeys[i].entry < ctrKeys[j].entry
-	})
-	for _, k := range ctrKeys {
+	for _, k := range sortedCounterKeys(m.counters) {
 		put(uint64(k.level), k.entry, m.counters[k])
 	}
 	putMACs(m.macs)
@@ -122,6 +112,22 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// sortedCounterKeys returns the keys of a counterKey-keyed map in ascending
+// (level, entry) order.
+func sortedCounterKeys[V any](m map[counterKey]V) []counterKey {
+	keys := make([]counterKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].level != keys[j].level {
+			return keys[i].level < keys[j].level
+		}
+		return keys[i].entry < keys[j].entry
+	})
 	return keys
 }
 
@@ -187,6 +193,9 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("%w: truncated counters", ErrImageFormat)
 		}
+		if level >= uint64(m.geom.Levels()) || entry >= m.geom.CounterEntries(int(level)) {
+			return nil, fmt.Errorf("%w: counter entry %d outside tree level %d", ErrImageFormat, entry, level)
+		}
 		m.counters[counterKey{int(level), entry}] = val
 	}
 	readMACs := func(dst map[uint64]crypto.MAC) error {
@@ -232,27 +241,33 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 		return nil, fmt.Errorf("%w: bounded counters unsupported", ErrImageFormat)
 	}
 
-	// Authenticate: every written counter entry must verify against the
-	// trusted roots before the image is trusted at all.
+	// Authenticate: every tree line a read can verify from must verify
+	// against the trusted roots before the image is trusted at all.
 	if err := m.verifyImage(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// verifyImage checks the counter chains of every touched top-level region
-// against the on-chip roots.
+// verifyImage checks, once each and in ascending (level, line) order, the
+// tree lines above every stored counter that a unit of the current
+// encoding owns: exactly the chains Read verifies from. Counters left
+// below a promoted unit are skipped: no read verifies them, and their
+// lines still carry node MACs sealed under the pre-promotion parent value.
 func (m *Memory) verifyImage() error {
-	seen := map[uint64]bool{}
+	lines := map[counterKey]bool{} // entry holds the line index
 	for k := range m.counters {
-		// Verify from this entry's level upward; dedupe by top-level line.
 		blockIdx := k.entry << (3 * uint(k.level))
-		top := blockIdx >> (3 * uint(m.geom.Levels()))
-		if seen[top] {
+		sp := m.table.Current(blockIdx / meta.BlocksPerChunk)
+		if sp.GranOfBlock(int(blockIdx%meta.BlocksPerChunk)).Level() != k.level {
 			continue
 		}
-		seen[top] = true
-		if err := m.verifyChain(k.level, blockIdx); err != nil {
+		for level, line := k.level, k.entry/meta.Arity; level < m.geom.Levels(); level, line = level+1, line/meta.Arity {
+			lines[counterKey{level, line}] = true
+		}
+	}
+	for _, l := range sortedCounterKeys(lines) {
+		if err := m.verifyLine(l.level, l.entry); err != nil {
 			return fmt.Errorf("image rejected: %w", err)
 		}
 	}

@@ -122,6 +122,75 @@ func TestLoadRejectsTamperedImage(t *testing.T) {
 	}
 }
 
+// TestLoadVerifiesEveryTreeLine: Load authenticates the line of every
+// stored counter, not one chain per top-level line. Blocks 0 and 64 share
+// every line above level 0, so block 64's tampered counter sits in a line
+// that only its own chain reaches.
+func TestLoadVerifiesEveryTreeLine(t *testing.T) {
+	m := newMem()
+	mustWrite(t, m, 0, block(1))
+	mustWrite(t, m, 64*meta.BlockSize, block(2))
+	if !m.TamperCounter(64 * meta.BlockSize) {
+		t.Fatal("counter tamper did not land")
+	}
+	var buf bytes.Buffer
+	roots, err := m.Save(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		if _, err := Load(bytes.NewReader(buf.Bytes()), 42, roots); !errors.Is(err, ErrTree) {
+			t.Fatalf("load %d: err = %v, want ErrTree", i, err)
+		}
+	}
+}
+
+// TestLoadAcceptsPromotedWrittenBlock: promoting a written fine block
+// leaves its level-0 counter behind in a line sealed under the old parent
+// value. No read verifies that line, so Load must not reject it either.
+func TestLoadAcceptsPromotedWrittenBlock(t *testing.T) {
+	m := newMem()
+	mustWrite(t, m, 0, block(1))
+	if err := m.Promote(0, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	roots, err := m.Save(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		m2, err := Load(bytes.NewReader(buf.Bytes()), 42, roots)
+		if err != nil {
+			t.Fatalf("load %d: %v", i, err)
+		}
+		if got := mustRead(t, m2, 0); !bytes.Equal(got, block(1)) {
+			t.Fatalf("load %d: block 0 lost", i)
+		}
+	}
+}
+
+// TestLoadRejectsCounterOutsideTree: a counter entry beyond its level, or
+// at a level the tree does not store, is a malformed image.
+func TestLoadRejectsCounterOutsideTree(t *testing.T) {
+	for name, k := range map[string]counterKey{
+		"entry": {0, 1 << 40},
+		"level": {9, 0},
+	} {
+		m := newMem()
+		mustWrite(t, m, 0, block(1))
+		m.counters[k] = 0 // a zero entry passes every pristine line up to the roots
+		var buf bytes.Buffer
+		roots, err := m.Save(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf, 42, roots); !errors.Is(err, ErrImageFormat) {
+			t.Errorf("%s: err = %v, want ErrImageFormat", name, err)
+		}
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not an image")), 1, nil); !errors.Is(err, ErrImageFormat) {
 		t.Fatalf("err = %v, want ErrImageFormat", err)

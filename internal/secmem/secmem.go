@@ -159,23 +159,29 @@ func (m *Memory) sealLine(level int, line uint64, parentVal uint64) {
 // multi-granular tree starts at the promoted level, Fig. 10).
 func (m *Memory) verifyChain(startLevel int, blockIdx uint64) error {
 	for level := startLevel; level < m.geom.Levels(); level++ {
-		entry := m.geom.CounterEntryIndex(level, blockIdx)
-		line := entry / meta.Arity
-		parentVal := m.readCounter(level+1, line)
-		addr := m.lineAddr(level, line)
-		stored, ok := m.nodeMACs[addr]
-		if !ok {
-			// Never-written line: valid only in its pristine state.
-			if parentVal == 0 && m.lineZero(level, line) {
-				continue
-			}
-			return fmt.Errorf("%w: missing node MAC at level %d", ErrTree, level)
+		if err := m.verifyLine(level, m.geom.CounterEntryIndex(level, blockIdx)/meta.Arity); err != nil {
+			return err
 		}
-		m.Stats.Verified++
-		want := m.eng.NodeMAC(addr, parentVal, m.lineEntries(level, line))
-		if !crypto.Equal(stored, want) {
-			return fmt.Errorf("%w: level %d line %#x", ErrTree, level, addr)
+	}
+	return nil
+}
+
+// verifyLine checks one counter line's node MAC against its parent counter.
+func (m *Memory) verifyLine(level int, line uint64) error {
+	parentVal := m.readCounter(level+1, line)
+	addr := m.lineAddr(level, line)
+	stored, ok := m.nodeMACs[addr]
+	if !ok {
+		// Never-written line: valid only in its pristine state.
+		if parentVal == 0 && m.lineZero(level, line) {
+			return nil
 		}
+		return fmt.Errorf("%w: missing node MAC at level %d", ErrTree, level)
+	}
+	m.Stats.Verified++
+	want := m.eng.NodeMAC(addr, parentVal, m.lineEntries(level, line))
+	if !crypto.Equal(stored, want) {
+		return fmt.Errorf("%w: level %d line %#x", ErrTree, level, addr)
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ package tree
 
 import (
 	"unimem/internal/cache"
-	"unimem/internal/check"
 	"unimem/internal/meta"
 )
 
@@ -131,27 +130,9 @@ func (w *Walker) read(blockIdx uint64, startLevel int) Walk {
 		if hit {
 			return walk // cached node is trusted; verification stops
 		}
-		if check.Enabled {
-			w.assertFetch(&walk, addr)
-		}
 		walk.Fetches = append(walk.Fetches, addr)
 	}
 	return walk
-}
-
-// assertFetch checks (under -tags invariants) that a fetched counter line
-// lies inside the counter region and strictly above the walk's previous
-// fetch: the walk ascends level by level, and each stored level's line
-// array is laid out above the one below it (Eq. 4), so a non-monotonic
-// fetch sequence means the address computation is wrong.
-func (w *Walker) assertFetch(walk *Walk, addr uint64) {
-	check.Assertf(addr >= w.geom.CounterBase && addr < w.geom.GTBase,
-		"counter fetch %#x outside counter region [%#x, %#x)", addr, w.geom.CounterBase, w.geom.GTBase)
-	if n := len(walk.Fetches); n > 0 {
-		//mutate:ignore all fetch addresses are 64-aligned lines, so consecutive fetches differ by >= 64 and nudging or weakening this comparison cannot change it on any walk a correct or buggy caller produces
-		check.Assertf(addr > walk.Fetches[n-1],
-			"tree walk not ascending: %#x fetched after %#x", addr, walk.Fetches[n-1])
-	}
 }
 
 // Write walks the tree for a dirty-eviction write: every level from the
@@ -179,9 +160,6 @@ func (w *Walker) write(blockIdx uint64, startLevel int) Walk {
 			walk.Writebacks++
 		}
 		if !hit {
-			if check.Enabled {
-				w.assertFetch(&walk, addr)
-			}
 			walk.Fetches = append(walk.Fetches, addr)
 		}
 	}

@@ -15,9 +15,17 @@ func newWalker(cfg Config) (*Walker, *cache.Cache) {
 
 func TestColdReadWalksAllLevels(t *testing.T) {
 	w, _ := newWalker(Config{})
-	walk := w.Read(0, 0)
+	const blk = 12345
+	walk := w.Read(blk, 0)
 	if walk.Levels != 4 || len(walk.Fetches) != 4 {
 		t.Fatalf("walk = %+v, want 4 levels / 4 fetches", walk)
+	}
+	// The fetches are the block's counter line at each level, bottom up
+	// (FuzzGeometryEqs shows those lie in the counter region and ascend).
+	for level, a := range walk.Fetches {
+		if want := w.geom.CounterLineAddr(level, blk); a != want {
+			t.Fatalf("level %d fetched %#x, want %#x", level, a, want)
+		}
 	}
 	if walk.Pruned || walk.SubtreeHit {
 		t.Fatalf("unexpected flags: %+v", walk)
