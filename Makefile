@@ -82,3 +82,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGeometryEqs -fuzztime 30s ./internal/meta/
 	$(GO) test -run '^$$' -fuzz FuzzTrackerEviction -fuzztime 30s ./internal/tracker/
 	$(GO) test -run '^$$' -fuzz FuzzAttackCheck -fuzztime 30s ./internal/secmem/
+	$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 30s ./internal/workload/

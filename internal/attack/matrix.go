@@ -9,17 +9,16 @@ import (
 
 // Profile classifies a scheme's functional protection model — which
 // off-chip state exists and which verification binds it. It is derived
-// from the scheme's Spec and counter sourcing (core.SchemeSpec /
-// core.SchemeCounterMode), never from the scheme's name, so a new
-// registry row lands in a profile automatically and the drift guard in
-// matrix_test.go forces a human to confirm the derivation.
+// from the scheme's Spec (core.SchemeSpec), never from the scheme's name,
+// so a new registry row lands in a profile automatically and the drift
+// guard in matrix_test.go forces a human to confirm the derivation.
 type Profile uint8
 
 const (
 	// ProfileUnsecure stores plaintext with no metadata (Spec.Protect off).
 	ProfileUnsecure Profile = iota
 	// ProfileMACOnly authenticates content and address with per-block MACs
-	// but keeps no freshness state (CounterSkip for every device) —
+	// but keeps no freshness state (Spec.Counters is CountersNone) —
 	// SecDDR-style interface protection.
 	ProfileMACOnly
 	// ProfileFull verifies counters through the integrity tree and MACs at
@@ -45,28 +44,16 @@ func (p Profile) String() string {
 	return "unknown"
 }
 
-// maxDevices is the device range probed for counter sourcing (the harness
-// convention: CPU is device 0, accelerators above).
-const maxDevices = 4
-
 // ProfileOf derives the protection profile of a registered scheme from its
-// Spec traits and per-device counter sourcing.
+// Spec traits.
 func ProfileOf(s core.Scheme) Profile {
 	spec := core.SchemeSpec(s)
-	if !spec.Protect {
+	switch {
+	case !spec.Protect:
 		return ProfileUnsecure
-	}
-	allSkip := true
-	for dev := 0; dev < maxDevices; dev++ {
-		if core.SchemeCounterMode(s, dev) != core.CounterSkip {
-			allSkip = false
-			break
-		}
-	}
-	if allSkip {
+	case spec.Counters == core.CountersNone:
 		return ProfileMACOnly
-	}
-	if spec.UseTable {
+	case spec.UseTable:
 		return ProfileFullSwitching
 	}
 	return ProfileFull
@@ -164,9 +151,9 @@ func MatrixFor(s core.Scheme) [NumClasses]Cell {
 			row[c] = Cell{Expect: Detected}
 		}
 	}
-	if s == core.MGXVersioned {
+	if core.SchemeSpec(s).Counters == core.CountersCPUTree {
 		row[Replay].Why = "detected for CPU traffic via the tree; accelerator traffic relies on " +
-			"application-managed versions (CounterSkip), modelled here as equivalent freshness"
+			"application-managed versions (CountersCPUTree), modelled here as equivalent freshness"
 	}
 	return row
 }

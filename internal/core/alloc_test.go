@@ -11,11 +11,11 @@ import (
 // TestSubmitSteadyStateZeroAlloc pins the probe-off hot path at zero
 // allocations per request for every registered scheme. The engine pools its
 // per-request continuation state (chunkOp/splitOp) and collects units, walk
-// fetches, detections and MAC lines into reusable scratch, and policies must
-// not allocate (see Policy), so once caches, maps, op pools and the event
-// heap are warm, a steady-state Submit must not touch the heap. A
-// regression here means a closure, boxing or append crept back into the
-// pipeline or into one scheme's policy.
+// fetches, detections and MAC lines into reusable scratch, so once caches,
+// maps, op pools and the event heap are warm, a steady-state Submit must
+// not touch the heap. A regression here means a closure, boxing or append
+// crept back into the pipeline or into the path one scheme's traits
+// select.
 //
 // The batch cycles every chunk through a promotion and a demotion, so the
 // measured window charges each Table 2 switch class the scheme's traits

@@ -12,8 +12,8 @@ import (
 
 // Request is one LLC-miss memory transaction from a processing unit.
 type Request struct {
-	// Device indexes the issuing processing unit (for per-device policy
-	// and statistics).
+	// Device indexes the issuing processing unit (for per-device unit
+	// rules, counter sourcing and statistics).
 	Device int
 	// Addr is the starting byte address (64B aligned).
 	Addr uint64
@@ -29,24 +29,14 @@ type Request struct {
 type Options struct {
 	// Devices is the number of processing units (default 4).
 	Devices int
-	// StaticGran is the per-device fixed granularity for StaticDeviceBest.
+	// StaticGran is the per-device fixed granularity of schemes with
+	// Spec.StaticGran (devices past its end use 64B).
 	StaticGran []meta.Gran
-	// FixedTable preloads the granularity table for PerPartitionOracle.
+	// FixedTable preloads the granularity table of schemes with
+	// Spec.Oracle.
 	FixedTable *meta.Table
 	// MetaCacheBytes is the security-metadata cache size (default 8KB).
 	MetaCacheBytes int
-	// MACCacheBytes is the MAC cache size (default 4KB).
-	MACCacheBytes int
-	// GTCacheBytes is the granularity-table cache size (default 32KB; one
-	// 64B line covers four chunks = 128KB of data, giving the high
-	// locality section 4.4 relies on).
-	GTCacheBytes int
-	// OTPPs / XORPs are the crypto latencies (defaults: 10 cycles, 1 cycle
-	// at 1 GHz per section 5.1).
-	OTPPs, XORPs sim.Time
-	// CommonCTRLimit caps the shared-counter set of the CommonCTR scheme
-	// (default 16, per section 2.3).
-	CommonCTRLimit int
 	// OpenUnits is the size of the in-flight coarse-unit buffer that
 	// coalesces the member beats of one bulk verification (default 16).
 	OpenUnits int
@@ -63,27 +53,25 @@ type Options struct {
 	Probe probe.Probe
 }
 
+// Fixed engine parameters (section 5.1).
+const (
+	// macCacheBytes is the MAC cache size.
+	macCacheBytes = 4 << 10
+	// gtCacheBytes is the granularity-table cache size: one 64B line
+	// covers four chunks = 128KB of data, giving the high locality
+	// section 4.4 relies on.
+	gtCacheBytes = 32 << 10
+	// cryptoPs is the crypto latency after the last fetch: a 10-cycle OTP
+	// and a 1-cycle XOR at 1 GHz.
+	cryptoPs = (10 + 1) * sim.PsPerGPUCycle
+)
+
 func (o *Options) fill() {
 	if o.Devices <= 0 {
 		o.Devices = 4
 	}
 	if o.MetaCacheBytes <= 0 {
 		o.MetaCacheBytes = 8 << 10
-	}
-	if o.MACCacheBytes <= 0 {
-		o.MACCacheBytes = 4 << 10
-	}
-	if o.GTCacheBytes <= 0 {
-		o.GTCacheBytes = 32 << 10
-	}
-	if o.OTPPs <= 0 {
-		o.OTPPs = 10 * sim.PsPerGPUCycle
-	}
-	if o.XORPs <= 0 {
-		o.XORPs = 1 * sim.PsPerGPUCycle
-	}
-	if o.CommonCTRLimit <= 0 {
-		o.CommonCTRLimit = 16
 	}
 	if o.OpenUnits <= 0 {
 		o.OpenUnits = 16
@@ -135,8 +123,9 @@ type Engine struct {
 	mm     *mem.Memory
 	geom   *meta.Geometry
 	scheme Scheme
-	pol    Policy
-	spec   Spec // cached pol.Spec(): hot-path trait flags
+	spec   Spec     // the registry row's traits
+	ctr    granRule // the row's counter-side unit rule
+	mac    granRule // the row's MAC-side unit rule
 	opts   Options
 
 	table     *meta.Table
@@ -152,8 +141,7 @@ type Engine struct {
 	lastWrite    map[uint64]bool // last access type per chunk
 	writtenParts map[uint64]uint64
 	demoteVotes  map[uint64]meta.StreamPart // demotion hysteresis per chunk
-
-	cryptoPs sim.Time
+	shared       map[uint64]bool            // CountersShared: chunks holding a shared counter
 
 	// Free lists and scratch buffers keep the probe-off steady state
 	// allocation-free (the simulation is single-threaded, so plain linked
@@ -173,35 +161,43 @@ type Engine struct {
 
 // New builds an engine for one scheme over a protected region of
 // regionBytes, sharing the simulation engine and memory system with the
-// device models. The scheme's behaviour comes entirely from its registered
-// Policy; New wires the scheme-independent machinery around it.
+// device models. The scheme's behaviour comes entirely from its registry
+// row; New wires the scheme-independent machinery around it. Out-of-range
+// schemes panic.
 func New(se *sim.Engine, mm *mem.Memory, regionBytes uint64, scheme Scheme, opts Options) *Engine {
 	opts.fill()
-	pol := policyFor(scheme, &opts)
-	spec := pol.Spec()
+	row := registry[scheme]
+	spec := row.spec
 	e := &Engine{
 		se:           se,
 		mm:           mm,
 		geom:         meta.NewGeometry(regionBytes),
 		scheme:       scheme,
-		pol:          pol,
 		spec:         spec,
+		ctr:          row.ctr,
+		mac:          row.mac,
 		opts:         opts,
 		prb:          opts.Probe,
 		lastWrite:    map[uint64]bool{},
 		writtenParts: map[uint64]uint64{},
 		demoteVotes:  map[uint64]meta.StreamPart{},
-		cryptoPs:     opts.OTPPs + opts.XORPs,
 		perDev:       make([]DeviceStats, opts.Devices),
 	}
 	if !spec.Protect {
 		return e
 	}
 	e.metaCache = cache.New(cache.Config{SizeBytes: opts.MetaCacheBytes, LineBytes: 64, Ways: 8})
-	e.macCache = cache.New(cache.Config{SizeBytes: opts.MACCacheBytes, LineBytes: 64, Ways: 8})
-	e.walker = tree.New(e.geom, e.metaCache, pol.TreeConfig())
+	e.macCache = cache.New(cache.Config{SizeBytes: macCacheBytes, LineBytes: 64, Ways: 8})
+	var treeCfg tree.Config
+	if spec.Subtree {
+		treeCfg = tree.DefaultSubtree()
+	}
+	e.walker = tree.New(e.geom, e.metaCache, treeCfg)
+	if spec.Counters == CountersShared {
+		e.shared = map[uint64]bool{}
+	}
 	if spec.UseTable {
-		e.gtCache = cache.New(cache.Config{SizeBytes: opts.GTCacheBytes, LineBytes: 64, Ways: 8})
+		e.gtCache = cache.New(cache.Config{SizeBytes: gtCacheBytes, LineBytes: 64, Ways: 8})
 		if spec.Oracle && opts.FixedTable != nil {
 			e.table = opts.FixedTable
 		} else {

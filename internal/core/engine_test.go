@@ -282,23 +282,24 @@ func TestOpenUnitSuppressesRefetch(t *testing.T) {
 }
 
 func TestCommonCTRSharedLimit(t *testing.T) {
-	r := newRig(CommonCTR, Options{CommonCTRLimit: 2})
-	// Stream 4 chunks fully; only 2 gain shared counters.
-	for c := uint64(0); c < 4; c++ {
+	r := newRig(CommonCTR, Options{})
+	// Stream two chunks more than the shared-counter budget; only the
+	// budget's worth gain shared counters.
+	for c := uint64(0); c < sharedCounters+2; c++ {
 		r.do(Request{Addr: c * meta.ChunkSize, Size: meta.ChunkSize})
 	}
-	shared := r.en.pol.(*commonCTRPolicy).shared
-	if len(shared) != 2 {
-		t.Fatalf("shared chunks = %d, want 2", len(shared))
+	if len(r.en.shared) != sharedCounters {
+		t.Fatalf("shared chunks = %d, want %d", len(r.en.shared), sharedCounters)
 	}
-	// Shared chunks skip counter traffic on re-access.
-	ctr := r.mm.Stats.Reads[mem.Counter]
+	// Shared chunks skip counter traffic on re-access; each of the
+	// request's 64B counter units counts one shared hit.
+	ctr, hits := r.mm.Stats.Reads[mem.Counter], r.en.Stats.SharedCTRHits
 	r.do(Request{Addr: 0, Size: meta.ChunkSize})
 	if r.mm.Stats.Reads[mem.Counter] != ctr {
 		t.Fatal("shared-counter chunk still walked the tree")
 	}
-	if r.en.Stats.SharedCTRHits == 0 {
-		t.Fatal("shared hits not counted")
+	if got := r.en.Stats.SharedCTRHits - hits; got != meta.BlocksPerChunk {
+		t.Fatalf("shared hits = %d, want %d", got, meta.BlocksPerChunk)
 	}
 }
 
@@ -312,6 +313,13 @@ func TestStaticGranularityRMWPenalty(t *testing.T) {
 	}
 	if r.mm.Stats.Writes[mem.Data] != meta.BlocksPerChunk {
 		t.Fatalf("RMW write beats = %d, want %d", r.mm.Stats.Writes[mem.Data], meta.BlocksPerChunk)
+	}
+	// A scheme without Spec.StaticGran ignores Options.StaticGran.
+	c := newRig(Conventional, Options{StaticGran: []meta.Gran{meta.Gran32K}})
+	c.do(Request{Device: 0, Addr: 128, Size: 64, Write: true})
+	if c.mm.Stats.Reads[mem.Data] != 0 || c.mm.Stats.Writes[mem.Data] != 1 {
+		t.Fatalf("Conventional data beats read %d / written %d, want 0 / 1",
+			c.mm.Stats.Reads[mem.Data], c.mm.Stats.Writes[mem.Data])
 	}
 }
 

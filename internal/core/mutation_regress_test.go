@@ -17,14 +17,9 @@ import (
 // (engine.go): an explicit value of 1 sits exactly on the <=0 boundary
 // and must survive filling, for every guarded field.
 func TestOptionsFillPreservesExplicitValues(t *testing.T) {
-	o := Options{
-		Devices: 1, MetaCacheBytes: 1, MACCacheBytes: 1, GTCacheBytes: 1,
-		OTPPs: 1, XORPs: 1, CommonCTRLimit: 1, OpenUnits: 1,
-	}
+	o := Options{Devices: 1, MetaCacheBytes: 1, OpenUnits: 1}
 	o.fill()
-	if o.Devices != 1 || o.MetaCacheBytes != 1 || o.MACCacheBytes != 1 ||
-		o.GTCacheBytes != 1 || o.OTPPs != 1 || o.XORPs != 1 ||
-		o.CommonCTRLimit != 1 || o.OpenUnits != 1 {
+	if o.Devices != 1 || o.MetaCacheBytes != 1 || o.OpenUnits != 1 {
 		t.Fatalf("fill clobbered explicit values: %+v", o)
 	}
 	var zero Options

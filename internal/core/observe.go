@@ -132,8 +132,8 @@ func (e *Engine) probeSwitch(r Request, class probe.SwitchClass) {
 }
 
 // probeDetect reports a routed granularity detection: the merged encoding
-// that reached the policy and whether the policy consumed it. Emission
-// mirrors Stats.Detections exactly, so external observers (attack
+// and whether the shared-counter set consumed it instead of the table.
+// Emission mirrors Stats.Detections exactly, so external observers (attack
 // campaigns, collectors) see every routed detection without reaching into
 // the pipeline.
 func (e *Engine) probeDetect(chunk uint64, sp meta.StreamPart, consumed bool) {

@@ -103,7 +103,7 @@ func (op *chunkOp) maybeFire() {
 	if at < e.se.Now() {
 		at = e.se.Now()
 	}
-	op.finAt = at + e.cryptoPs
+	op.finAt = at + cryptoPs
 	e.se.At(op.finAt, op.finishFn)
 }
 
@@ -228,8 +228,9 @@ func (e *Engine) Submit(r Request, done func(sim.Time)) {
 }
 
 // submitChunk handles a transaction confined to one 32KB chunk. The stages
-// are scheme-agnostic: every per-scheme decision goes through the cached
-// Spec traits or a Policy seam (GranRules, MACLine, CounterMode).
+// are scheme-agnostic: every per-scheme decision reads the registry row
+// (Spec traits and unit rules) through granRules, counterSource and
+// macLine.
 func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 	e.Stats.Requests++
 	e.recordIssue(r)
@@ -294,7 +295,7 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 	if e.table != nil {
 		sp = e.table.Current(chunk)
 	}
-	ctrRule, macRule := e.pol.GranRules(r.Device)
+	ctrRule, macRule := e.granRules(r.Device)
 	e.macUnits = appendUnits(e.macUnits[:0], sp, chunkBase, r, macRule)
 	e.ctrUnits = appendUnits(e.ctrUnits[:0], sp, chunkBase, r, ctrRule)
 
@@ -324,16 +325,15 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 
 	// 6. Counter path: the first unit's tree walk is the serialized
 	// validation path; sibling units' fetches proceed in parallel. The
-	// policy decides per chunk how counters are sourced: a tree walk, a
-	// treeless shared counter, or no counter at all (MAC-only protection,
-	// application-managed versions).
-	if mode := e.pol.CounterMode(r, chunk); mode != CounterSkip {
+	// scheme's counter source decides per chunk how counters are sourced:
+	// a tree walk, a treeless shared counter, or no counter at all
+	// (MAC-only protection, application-managed versions).
+	switch e.counterSource(r.Device, chunk) {
+	case CountersShared:
+		e.Stats.SharedCTRHits += uint64(len(e.ctrUnits))
+	case CountersTree:
 		first := true
 		for _, u := range e.ctrUnits {
-			if mode == CounterShared {
-				e.Stats.SharedCTRHits++
-				continue
-			}
 			blockIdx := meta.BlockIndex(u.base)
 			walk := e.walkUnit(blockIdx, u.gran, r.Write)
 			e.probeWalk(r, walk)
@@ -363,7 +363,7 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 	// 7. MAC path: one cacheline per needed MAC line, in parallel.
 	var lastLine uint64 = ^uint64(0)
 	for _, u := range e.macUnits {
-		lineAddr := e.pol.MACLine(e.geom, chunk, chunkBase, sp, u, macRule)
+		lineAddr := e.macLine(chunk, chunkBase, sp, u, macRule)
 		if lineAddr != lastLine {
 			lastLine = lineAddr
 			hit, wb := e.macCache.Access(lineAddr, r.Write)
@@ -498,6 +498,49 @@ func (e *Engine) walkUnit(blockIdx uint64, g meta.Gran, write bool) tree.Walk {
 		return e.walker.Write(blockIdx, g.Level())
 	}
 	return e.walker.Read(blockIdx, g.Level())
+}
+
+// granRules returns the counter- and MAC-side unit rules of a request
+// from device: the registry row's, or under Spec.StaticGran the device's
+// entry of Options.StaticGran on both sides.
+func (e *Engine) granRules(device int) (ctr, mac granRule) {
+	if e.spec.StaticGran && device < len(e.opts.StaticGran) {
+		rule := granRule{fixed: true, gran: e.opts.StaticGran[device]}
+		return rule, rule
+	}
+	return e.ctr, e.mac
+}
+
+// counterSource resolves the scheme's Spec.Counters for one request from
+// device into chunk: CountersTree, CountersShared or CountersNone. The CPU
+// walks the tree under CountersCPUTree and accelerators skip it; under
+// CountersShared only chunks in the shared set skip the tree.
+func (e *Engine) counterSource(device int, chunk uint64) CounterSource {
+	switch e.spec.Counters {
+	case CountersNone:
+		return CountersNone
+	case CountersCPUTree:
+		if device != cpuDevice {
+			return CountersNone
+		}
+	case CountersShared:
+		if e.shared[chunk] {
+			return CountersShared
+		}
+	}
+	return CountersTree
+}
+
+// macLine resolves the 64B MAC line holding a unit's MAC. A 32KB-capped
+// table rule (the Ours family) uses the Fig. 9 compacted layout through
+// the stream-part encoding; fixed and 4KB-capped rules use the flat
+// per-block layout (slot = block index within chunk).
+func (e *Engine) macLine(chunk, chunkBase uint64, sp meta.StreamPart, u unitSpan, rule granRule) uint64 {
+	if rule.table && rule.cap == meta.Gran32K {
+		addr, _ := e.geom.MACAddrFor(u.base, sp)
+		return meta.AlignBlock(addr)
+	}
+	return e.geom.MACLineAddr(chunk, int((u.base-chunkBase)/meta.BlockSize))
 }
 
 // appendUnits collects the protection units covering a request under a

@@ -4,9 +4,9 @@
 // fetch, counter-tree walk, MAC fetch, and crypto latency; dirty-eviction
 // writes update the tree to the root (Fig. 14); lazy granularity switching
 // charges the Table 2 costs. The scheme matrix of Table 5 (plus the
-// ablations of Fig. 6 and Fig. 20) is expressed as pluggable Policy objects
-// over the same scheme-agnostic pipeline; see registry.go for the table
-// that binds a Scheme to its Policy and name.
+// ablations of Fig. 6 and Fig. 20) is data: registry.go holds one row per
+// Scheme (name, trait Spec, counter- and MAC-side unit rules), and the
+// scheme-agnostic pipeline reads the row's fields.
 package core
 
 // Scheme selects one simulated protection scheme (paper Table 5).
@@ -14,7 +14,7 @@ type Scheme int
 
 // Simulation schemes. The first group reproduces Table 5; the second the
 // ablations used by Fig. 6 and Fig. 20; the last group are extensions
-// beyond the paper, expressed as pure policies (IsExtension reports which).
+// beyond the paper, expressed as registry rows (IsExtension reports which).
 const (
 	// Unsecure disables memory protection entirely.
 	Unsecure Scheme = iota

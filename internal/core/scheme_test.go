@@ -10,9 +10,10 @@ import (
 
 // TestRegistryDriftGuard keeps the scheme constants and the registry in
 // lock-step: every Scheme constant below nSchemes must have a registry row
-// with a unique non-empty name and a working builder, Schemes must
-// enumerate exactly the registered constants, and String must agree with
-// the row. A missing row is a test failure here, not a runtime panic.
+// with a unique non-empty name and unit rules on both metadata sides,
+// Schemes must enumerate exactly the registered constants, and String must
+// agree with the row. A missing row is a test failure here, not a runtime
+// panic.
 func TestRegistryDriftGuard(t *testing.T) {
 	if len(Schemes) != int(nSchemes) {
 		t.Fatalf("Schemes lists %d schemes, constants declare %d", len(Schemes), int(nSchemes))
@@ -27,8 +28,8 @@ func TestRegistryDriftGuard(t *testing.T) {
 			t.Errorf("scheme constant %d has no registry name", int(s))
 			continue
 		}
-		if ent.build == nil {
-			t.Errorf("%s has no registry builder", ent.name)
+		if ent.ctr == (granRule{}) || ent.mac == (granRule{}) {
+			t.Errorf("%s lacks a counter- or MAC-side unit rule", ent.name)
 			continue
 		}
 		if got := s.String(); got != ent.name {
@@ -38,10 +39,6 @@ func TestRegistryDriftGuard(t *testing.T) {
 			t.Errorf("name %q registered for both %v and %v", ent.name, prev, s)
 		}
 		seen[ent.name] = s
-		pol := policyFor(s, &Options{})
-		if pol == nil {
-			t.Errorf("%s builder returned nil policy", ent.name)
-		}
 	}
 	if Scheme(-1).String() != "unknown" || nSchemes.String() != "unknown" {
 		t.Error("out-of-range Scheme.String() should be \"unknown\"")
@@ -57,32 +54,37 @@ func TestRegistryDriftGuard(t *testing.T) {
 	}
 }
 
-// TestSpecMatrix pins the trait sheet of every scheme: changing a Spec
-// flag must be a deliberate act.
+// TestSpecMatrix pins the registry row of every scheme — its trait sheet
+// and its counter- and MAC-side unit rules: changing a row must be a
+// deliberate act.
 func TestSpecMatrix(t *testing.T) {
 	cases := []struct {
-		s    Scheme
-		want Spec
+		s        Scheme
+		want     Spec
+		ctr, mac granRule
 	}{
-		{Unsecure, Spec{}},
-		{Conventional, Spec{Protect: true}},
-		{StaticDeviceBest, Spec{Protect: true}},
-		{MultiCTROnly, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true}},
-		{Ours, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true, MultiMAC: true}},
-		{Adaptive, Spec{Protect: true, UseTable: true, Detect: true, MultiMAC: true, DoubleStore: true}},
-		{CommonCTR, Spec{Protect: true, UseTable: true, Detect: true, DualOnly: true}},
-		{BMFUnused, Spec{Protect: true}},
-		{BMFUnusedOurs, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true, MultiMAC: true}},
-		{OursDual, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true, MultiMAC: true, DualOnly: true}},
-		{OursNoSwitch, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true, MultiMAC: true, FreeSwitch: true}},
-		{BMFUnusedOursNoSwitch, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true, MultiMAC: true, FreeSwitch: true}},
-		{PerPartitionOracle, Spec{Protect: true, UseTable: true, MultiCTR: true, MultiMAC: true, FreeSwitch: true, Oracle: true}},
-		{MACOnly, Spec{Protect: true}},
-		{MGXVersioned, Spec{Protect: true}},
+		{Unsecure, Spec{}, fixed64, fixed64},
+		{Conventional, Spec{Protect: true}, fixed64, fixed64},
+		{StaticDeviceBest, Spec{Protect: true, StaticGran: true}, fixed64, fixed64},
+		{MultiCTROnly, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true}, table32K, fixed64},
+		{Ours, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true, MultiMAC: true}, table32K, table32K},
+		{Adaptive, Spec{Protect: true, UseTable: true, Detect: true, MultiMAC: true, DoubleStore: true}, fixed64, table4K},
+		{CommonCTR, Spec{Protect: true, UseTable: true, Detect: true, DualOnly: true, Counters: CountersShared}, fixed64, fixed64},
+		{BMFUnused, Spec{Protect: true, Subtree: true}, fixed64, fixed64},
+		{BMFUnusedOurs, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true, MultiMAC: true, Subtree: true}, table32K, table32K},
+		{OursDual, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true, MultiMAC: true, DualOnly: true}, table32K, table32K},
+		{OursNoSwitch, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true, MultiMAC: true, FreeSwitch: true}, table32K, table32K},
+		{BMFUnusedOursNoSwitch, Spec{Protect: true, UseTable: true, Detect: true, MultiCTR: true, MultiMAC: true, FreeSwitch: true, Subtree: true}, table32K, table32K},
+		{PerPartitionOracle, Spec{Protect: true, UseTable: true, MultiCTR: true, MultiMAC: true, FreeSwitch: true, Oracle: true}, table32K, table32K},
+		{MACOnly, Spec{Protect: true, Counters: CountersNone}, fixed64, fixed64},
+		{MGXVersioned, Spec{Protect: true, Counters: CountersCPUTree}, fixed64, fixed64},
 	}
 	for _, c := range cases {
-		if got := policyFor(c.s, &Options{}).Spec(); got != c.want {
+		if got := SchemeSpec(c.s); got != c.want {
 			t.Errorf("%v spec = %+v, want %+v", c.s, got, c.want)
+		}
+		if row := registry[c.s]; row.ctr != c.ctr || row.mac != c.mac {
+			t.Errorf("%v rules = %+v/%+v, want %+v/%+v", c.s, row.ctr, row.mac, c.ctr, c.mac)
 		}
 	}
 	if len(cases) != len(Schemes) {
@@ -93,10 +95,10 @@ func TestSpecMatrix(t *testing.T) {
 func TestUnknownSchemePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("policyFor(nSchemes) did not panic")
+			t.Fatal("SchemeSpec(nSchemes) did not panic")
 		}
 	}()
-	policyFor(nSchemes, &Options{})
+	SchemeSpec(nSchemes)
 }
 
 // TestEverySchemeServesBulkAndFine drives every scheme through a mixed

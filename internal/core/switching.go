@@ -8,9 +8,10 @@ import (
 )
 
 // applyDetection merges an access-tracker detection with the chunk's
-// history (hysteresis) and routes the result: the policy may consume it
-// (CommonCTR's shared-counter set), otherwise it lands in the granularity
-// table as "next" and commits lazily.
+// history (hysteresis) and routes the result: under CountersShared it
+// updates the shared-counter set instead of the table (CommonCTR);
+// otherwise it lands in the granularity table as "next" and commits
+// lazily.
 func (e *Engine) applyDetection(det tracker.Detection) {
 	e.Stats.Detections++
 	sp := det.Stream
@@ -39,12 +40,12 @@ func (e *Engine) applyDetection(det tracker.Detection) {
 	if e.spec.DualOnly && sp != meta.AllStream {
 		sp = 0
 	}
-	consumed := e.pol.OnDetection(det.Chunk, sp)
-	e.probeDetect(det.Chunk, sp, consumed)
+	consumed := e.spec.Counters == CountersShared
 	if consumed {
-		return
+		e.shareCounter(det.Chunk, sp)
 	}
-	if e.table == nil {
+	e.probeDetect(det.Chunk, sp, consumed)
+	if consumed || e.table == nil {
 		return
 	}
 	// Lazy switching timing is identical with and without switch-cost
@@ -52,6 +53,19 @@ func (e *Engine) applyDetection(det tracker.Detection) {
 	// charges), so detections always land as "next" and commit on the
 	// following access.
 	e.table.SetNext(det.Chunk, sp)
+}
+
+// shareCounter routes one CommonCTR detection: an all-stream chunk joins
+// the shared-counter set while it has room; anything finer evicts the
+// chunk back to the tree.
+func (e *Engine) shareCounter(chunk uint64, sp meta.StreamPart) {
+	if sp != meta.AllStream {
+		delete(e.shared, chunk)
+		return
+	}
+	if e.shared[chunk] || len(e.shared) < sharedCounters {
+		e.shared[chunk] = true
+	}
 }
 
 // refuteMask returns the partitions of coarse units (under encoding prev)

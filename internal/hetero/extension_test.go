@@ -9,11 +9,12 @@ import (
 )
 
 // TestMGXVersionedCutsMetadataTraffic is the extensibility proof for the
-// policy-driven engine core: MGXVersioned was added as a pure Policy plus a
-// registry row, with no edits to the pipeline stages, yet it must behave as
-// designed end-to-end — accelerator accesses skip the integrity-tree walk
-// (application-managed versions), so an accelerator-heavy scenario moves
-// less security metadata than the Conventional counter tree.
+// data-driven scheme registry: MGXVersioned is one registry row (counter
+// source CountersCPUTree), with no edits to the pipeline stages, yet it
+// must behave as designed end-to-end — accelerator accesses skip the
+// integrity-tree walk (application-managed versions), so an
+// accelerator-heavy scenario moves less security metadata than the
+// Conventional counter tree.
 func TestMGXVersionedCutsMetadataTraffic(t *testing.T) {
 	// NPU-heavy mix: the two NPUs and the GPU stream bulk tiles; only the
 	// CPU keeps the counter tree under MGX.

@@ -46,17 +46,16 @@ func (c *memo[V]) reset() {
 }
 
 // fingerprint returns a deterministic key covering every Config field that
-// can change a simulation outcome: Scale, Seed, RegionBytes, the full
-// memory configuration, and the engine options. Two Configs with the same
+// can change a simulation outcome: Scale, Seed, the full memory
+// configuration, and the engine options. Two Configs with the same
 // fingerprint produce identical runs; anything less (the old
 // name+Scale-only cache key) silently reuses stale warmup results across
 // differing Seed / Mem / Engine settings.
 func (c Config) fingerprint() string {
 	c = c.filled()
 	o := c.Engine
-	return fmt.Sprintf("scale=%g seed=%d region=%d mem=%+v eng={dev=%d static=%v tbl=%t meta=%d mac=%d gt=%d otp=%d xor=%d cc=%d open=%d trk=%+v}",
-		c.Scale, c.Seed, c.RegionBytes, *c.Mem,
+	return fmt.Sprintf("scale=%g seed=%d mem=%+v eng={dev=%d static=%v tbl=%t meta=%d open=%d trk=%+v}",
+		c.Scale, c.Seed, *c.Mem,
 		o.Devices, o.StaticGran, o.FixedTable != nil,
-		o.MetaCacheBytes, o.MACCacheBytes, o.GTCacheBytes,
-		o.OTPPs, o.XORPs, o.CommonCTRLimit, o.OpenUnits, o.Tracker)
+		o.MetaCacheBytes, o.OpenUnits, o.Tracker)
 }

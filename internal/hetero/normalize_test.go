@@ -96,14 +96,13 @@ func TestConfigFingerprintCoversRunState(t *testing.T) {
 	if base.fingerprint() != (Config{Scale: 0.05, Seed: 1}).fingerprint() {
 		t.Fatal("identical configs produce different fingerprints")
 	}
-	banked := mem.OrinConfig()
-	banked.Banks = mem.LPDDR4Banks()
+	oneChannel := mem.OrinConfig()
+	oneChannel.Channels = 1
 	variants := map[string]Config{
 		"scale":   {Scale: 0.06, Seed: 1},
 		"seed":    {Scale: 0.05, Seed: 2},
-		"region":  {Scale: 0.05, Seed: 1, RegionBytes: 8 << 30},
-		"mem":     {Scale: 0.05, Seed: 1, Mem: &banked},
-		"engine":  {Scale: 0.05, Seed: 1, Engine: core.Options{MACCacheBytes: 8 << 10}},
+		"mem":     {Scale: 0.05, Seed: 1, Mem: &oneChannel},
+		"engine":  {Scale: 0.05, Seed: 1, Engine: core.Options{MetaCacheBytes: 16 << 10}},
 		"tracker": {Scale: 0.05, Seed: 1, Engine: core.Options{Tracker: tracker.Config{Entries: 16}}},
 	}
 	seen := map[string]string{base.fingerprint(): "base"}

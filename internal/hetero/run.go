@@ -21,9 +21,6 @@ type Config struct {
 	Scale float64
 	// Seed makes runs reproducible.
 	Seed uint64
-	// RegionBytes is the protected region size (default 4GB, Table 3's
-	// memory system).
-	RegionBytes uint64
 	// Mem overrides the memory configuration (default Orin LPDDR4).
 	Mem *mem.Config
 	// Engine overrides protection-engine options.
@@ -53,9 +50,6 @@ func (c Config) filled() Config {
 	if c.Scale <= 0 {
 		c.Scale = 1
 	}
-	if c.RegionBytes == 0 {
-		c.RegionBytes = 4 << 30
-	}
 	if c.Mem == nil {
 		m := mem.OrinConfig()
 		c.Mem = &m
@@ -63,8 +57,12 @@ func (c Config) filled() Config {
 	return c
 }
 
-// Device region bases: each device owns a 1GB quadrant of the 4GB space.
-const deviceStride = 1 << 30
+// The protected region is Table 3's 4GB memory system, and each device
+// owns a 1GB quadrant of it.
+const (
+	regionBytes  = 4 << 30
+	deviceStride = 1 << 30
+)
 
 // DeviceResult is one processing unit's outcome.
 type DeviceResult struct {
@@ -214,7 +212,7 @@ func simulate(ps []placement, scheme core.Scheme, cfg Config) *stack {
 	s := &stack{ps: ps, mm: mem.New(eng, *cfg.Mem), devs: make([]*device.Issuer, len(ps))}
 	opts := cfg.Engine
 	opts.Devices = devices(ps)
-	s.en = core.New(eng, s.mm, cfg.RegionBytes, scheme, opts)
+	s.en = core.New(eng, s.mm, regionBytes, scheme, opts)
 	for i, p := range ps {
 		gen, err := workload.ByName(p.workload, cfg.Scale, p.seed)
 		if err != nil {
@@ -278,8 +276,8 @@ func (s *stack) measure(sc Scenario, scheme core.Scheme, col *probe.Collector) R
 // full oracle profiling pass. Both are pure functions of (placements,
 // Config), so they are memoized under the full config fingerprint with
 // singleflight semantics — the parallel sweep engine runs each warmup once
-// no matter how many workers need it, and configs differing in Seed,
-// RegionBytes, Mem or Engine never share entries.
+// no matter how many workers need it, and configs differing in Seed, Mem
+// or Engine never share entries.
 
 var (
 	staticBest memo[meta.Gran]
@@ -294,24 +292,26 @@ func resetWarmupCaches() {
 
 // warmup returns the engine options of a scheme's measured run: the
 // caller's, plus the warmup result the scheme is charged for unless the
-// caller supplied one — the per-device static granularities of
-// Static-device-best, or the profiled table of Per-partition-best.
+// caller supplied one — the per-device static granularities of a
+// Spec.StaticGran scheme (Static-device-best), or the profiled table of a
+// Spec.Oracle scheme (Per-partition-best).
 func warmup(ps []placement, scheme core.Scheme, cfg Config) core.Options {
 	o := cfg.Engine
+	spec := core.SchemeSpec(scheme)
 	switch {
-	case scheme == core.StaticDeviceBest && o.StaticGran == nil:
+	case spec.StaticGran && o.StaticGran == nil:
 		o.StaticGran = staticGrans(ps, cfg)
-	case scheme == core.PerPartitionOracle && o.FixedTable == nil:
+	case spec.Oracle && o.FixedTable == nil:
 		o.FixedTable = profileTable(ps, cfg)
 	}
 	return o
 }
 
 // bare derives a warmup pass's config from the caller's: the warmup
-// simulates the same system and engine (cache sizes, crypto latencies,
-// tracker) but owns its scheme-specific options, always drains, and never
-// carries probes — its result is memoized and shared across runs, so an
-// observer bound to one caller would see another's pass.
+// simulates the same system and engine (memory, metadata cache, open-unit
+// buffer, tracker) but owns its scheme-specific options, always drains,
+// and never carries probes — its result is memoized and shared across
+// runs, so an observer bound to one caller would see another's pass.
 func (c Config) bare() Config {
 	c.Engine.StaticGran, c.Engine.FixedTable, c.Engine.Probe = nil, nil, nil
 	c.truncatePs = 0

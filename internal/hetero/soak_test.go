@@ -50,10 +50,6 @@ func TestSweepParallelProbeTraceSoak(t *testing.T) {
 			sideDone <- res.Err
 			return
 		}
-		if err := side.WriteJSON(io.Discard); err != nil {
-			sideDone <- err
-			return
-		}
 		sideDone <- side.WriteCSV(io.Discard)
 	}()
 
@@ -84,9 +80,6 @@ func TestSweepParallelProbeTraceSoak(t *testing.T) {
 	events := uint64(0)
 	for _, tr := range traces {
 		events += tr.Seen()
-		if err := tr.WriteJSON(io.Discard); err != nil {
-			t.Fatal(err)
-		}
 		if err := tr.WriteCSV(io.Discard); err != nil {
 			t.Fatal(err)
 		}

@@ -59,12 +59,8 @@ type Config struct {
 	// 64B / 8.5 GB/s = 7529 ps.
 	SlotPs int64
 	// LatencyPs is the fixed access latency (activation + CAS + bus) paid
-	// once per request in front of the pipeline. Ignored when the bank
-	// model is enabled.
+	// once per request in front of the pipeline.
 	LatencyPs int64
-	// Banks enables per-bank open-row modeling when BanksPerChannel > 0;
-	// the flat fixed-latency model is used otherwise.
-	Banks BankConfig
 }
 
 // OrinConfig returns the LPDDR4 configuration of paper Table 3.
@@ -107,10 +103,9 @@ func (s *Stats) MetadataBytes() uint64 {
 
 // Memory is the shared off-chip memory timing model.
 type Memory struct {
-	eng   *sim.Engine
-	cfg   Config
-	free  []sim.Time // earliest bus start time per channel
-	banks *bankState // nil for the flat model
+	eng  *sim.Engine
+	cfg  Config
+	free []sim.Time // earliest bus start time per channel
 	// Stats is the running traffic account.
 	Stats Stats
 }
@@ -120,23 +115,7 @@ func New(eng *sim.Engine, cfg Config) *Memory {
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
 	}
-	m := &Memory{eng: eng, cfg: cfg, free: make([]sim.Time, cfg.Channels)}
-	if cfg.Banks.BanksPerChannel > 0 {
-		if cfg.Banks.RowBytes == 0 {
-			cfg.Banks.RowBytes = LPDDR4Banks().RowBytes
-		}
-		m.cfg = cfg
-		m.banks = newBankState(cfg.Channels, cfg.Banks)
-	}
-	return m
-}
-
-// RowHitRate reports the open-row hit rate (0 for the flat model).
-func (m *Memory) RowHitRate() float64 {
-	if m.banks == nil {
-		return 0
-	}
-	return m.banks.RowHitRate()
+	return &Memory{eng: eng, cfg: cfg, free: make([]sim.Time, cfg.Channels)}
 }
 
 // channelOf maps a 64B block address to a channel (64B interleaving).
@@ -166,8 +145,7 @@ func (m *Memory) access(addr uint64, size int, kind Kind, write bool, done func(
 	now := m.eng.Now()
 	var last sim.Time
 	for i := 0; i < beats; i++ {
-		beatAddr := addr + uint64(i*BlockSize)
-		ch := m.channelOf(beatAddr)
+		ch := m.channelOf(addr + uint64(i*BlockSize))
 		start := m.free[ch]
 		if start < now {
 			start = now
@@ -180,20 +158,12 @@ func (m *Memory) access(addr uint64, size int, kind Kind, write bool, done func(
 		} else {
 			m.Stats.Reads[kind]++
 		}
-		var finish sim.Time
-		if m.banks != nil {
-			// Open-row bank model: the beat completes one transfer slot
-			// after the bank delivers (or accepts) the row access.
-			finish = m.banks.access(ch, beatAddr, start) + sim.Time(m.cfg.SlotPs)
-		} else {
-			finish = end + sim.Time(m.cfg.LatencyPs)
-		}
-		if finish > last {
-			last = finish
+		if end > last {
+			last = end
 		}
 	}
 	if done != nil {
-		m.eng.AtCall(last, done)
+		m.eng.AtCall(last+sim.Time(m.cfg.LatencyPs), done)
 	}
 }
 

@@ -136,64 +136,3 @@ func TestStatsBytesTotals(t *testing.T) {
 		t.Fatalf("total bytes = %d, want 192", got)
 	}
 }
-
-func TestBankModelRowHits(t *testing.T) {
-	eng := sim.NewEngine()
-	m := New(eng, Config{Channels: 1, SlotPs: 1000, Banks: LPDDR4Banks()})
-	// Sequential beats within one 2KB row: first misses, rest hit.
-	for i := 0; i < 8; i++ {
-		m.Read(uint64(i*64), 64, Data, nil)
-	}
-	eng.RunAll()
-	if m.RowHitRate() <= 0.8 {
-		t.Fatalf("sequential row-hit rate = %.2f, want > 0.8", m.RowHitRate())
-	}
-}
-
-func TestBankModelConflictsSlower(t *testing.T) {
-	run := func(stride uint64) sim.Time {
-		eng := sim.NewEngine()
-		m := New(eng, Config{Channels: 1, SlotPs: 1000, Banks: LPDDR4Banks()})
-		var last sim.Time
-		for i := uint64(0); i < 32; i++ {
-			m.Read(i*stride, 64, Data, func(at sim.Time) { last = at })
-		}
-		eng.RunAll()
-		return last
-	}
-	seq := run(64)
-	// Stride of banks*rowBytes: every access conflicts in bank 0.
-	conflict := run(8 * 2048)
-	if conflict <= seq {
-		t.Fatalf("bank conflicts (%d) not slower than sequential (%d)", conflict, seq)
-	}
-}
-
-func TestBankParallelismOverlaps(t *testing.T) {
-	// Row misses to DIFFERENT banks overlap their activations; to the SAME
-	// bank they serialize.
-	run := func(stride uint64) sim.Time {
-		eng := sim.NewEngine()
-		m := New(eng, Config{Channels: 1, SlotPs: 1000, Banks: LPDDR4Banks()})
-		var last sim.Time
-		for i := uint64(0); i < 8; i++ {
-			m.Read(i*stride, 64, Data, func(at sim.Time) { last = at })
-		}
-		eng.RunAll()
-		return last
-	}
-	diffBanks := run(2048)    // consecutive rows -> consecutive banks
-	sameBank := run(8 * 2048) // all in bank 0
-	if diffBanks >= sameBank {
-		t.Fatalf("bank-parallel (%d) not faster than same-bank (%d)", diffBanks, sameBank)
-	}
-}
-
-func TestFlatModelRowHitRateZero(t *testing.T) {
-	eng, m := newTestMem()
-	m.Read(0, 64, Data, nil)
-	eng.RunAll()
-	if m.RowHitRate() != 0 {
-		t.Fatal("flat model reported a row-hit rate")
-	}
-}

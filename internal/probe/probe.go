@@ -50,8 +50,9 @@ const (
 	EvMemRead
 	EvMemWrite
 	// EvDetect is a routed granularity detection: Addr is the chunk base,
-	// Aux the detected StreamPart encoding, Val 1 when the scheme's policy
-	// consumed the detection (suppressed the lazy switch), 0 otherwise.
+	// Aux the detected StreamPart encoding, Val 1 when the scheme's
+	// shared-counter set consumed the detection (suppressed the lazy
+	// switch), 0 otherwise.
 	EvDetect
 	// EvSwitchWindow marks the functional layer opening a lazy-switch
 	// window for a chunk (metadata committed, units not yet resealed):
@@ -170,21 +171,21 @@ const (
 // Kind constants); unused fields are zero.
 type Event struct {
 	// At is the simulation timestamp of the emission.
-	At sim.Time `json:"at"`
+	At sim.Time
 	// Kind selects the event class.
-	Kind Kind `json:"kind"`
+	Kind Kind
 	// Device is the issuing processing unit of the enclosing request.
-	Device int `json:"dev"`
+	Device int
 	// Addr / Size / Write describe the access the event belongs to.
-	Addr  uint64 `json:"addr,omitempty"`
-	Size  int    `json:"size,omitempty"`
-	Write bool   `json:"write,omitempty"`
+	Addr  uint64
+	Size  int
+	Write bool
 	// Class is a kind-specific discriminator: mem.Kind for EvMemRead/Write,
 	// CacheKind for EvCache, SwitchClass for EvSwitch, WalkFlags for EvWalk.
-	Class uint8 `json:"class,omitempty"`
+	Class uint8
 	// Val / Aux are kind-specific magnitudes (levels, beats, latency ps).
-	Val int64 `json:"val,omitempty"`
-	Aux int64 `json:"aux,omitempty"`
+	Val int64
+	Aux int64
 }
 
 // ClassLabel renders the Class field under the event's kind-specific

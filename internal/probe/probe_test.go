@@ -285,23 +285,3 @@ func TestTraceCSVGlobalSequence(t *testing.T) {
 		t.Fatalf("rows lost their global sequence:\n%s", sb.String())
 	}
 }
-
-func TestTraceJSONLines(t *testing.T) {
-	tr := NewTrace(4)
-	tr.Event(Event{At: 5, Kind: EvSwitch, Device: 2, Class: uint8(SwDownAll), Val: 1})
-	tr.Event(Event{At: 6, Kind: EvRetire, Val: 1234})
-	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 JSON lines, got %d", len(lines))
-	}
-	if !strings.Contains(lines[0], `"kind":5`) || !strings.Contains(lines[0], `"at":5`) {
-		t.Fatalf("unexpected JSON line: %s", lines[0])
-	}
-	if !strings.Contains(lines[1], `"val":1234`) {
-		t.Fatalf("unexpected JSON line: %s", lines[1])
-	}
-}

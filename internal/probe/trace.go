@@ -2,7 +2,6 @@ package probe
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -56,19 +55,6 @@ func (t *EventTrace) Events() []Event {
 		out = append(out, t.buf[(t.start+i)%cap(t.buf)])
 	}
 	return out
-}
-
-// WriteJSON writes the retained events as JSON Lines (one object per line,
-// oldest first) — streamable and diff-friendly.
-func (t *EventTrace) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range t.Events() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // csvHeader is the stable column set of the CSV export.

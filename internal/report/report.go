@@ -470,8 +470,8 @@ func ExtLatency(o Options) Figure {
 // ExtMatrix is the registry-wide scheme matrix: every registered scheme —
 // paper reproductions and extensions alike — run over one accelerator-heavy
 // scenario. The scheme list is derived from the core registry, so a new
-// registered policy shows up here (and in mgsim -list) without touching
-// this package: the row set IS the registry.
+// registry row shows up here (and in mgsim -list) without touching this
+// package: the row set IS the registry.
 func ExtMatrix(o Options) Figure {
 	o = o.fill()
 	cfg := o.cfg()

@@ -91,7 +91,7 @@ type Stats struct {
 
 // Tracker is the access-tracking unit.
 //
-// The Detection slices returned by Access, AccessRange and Flush are backed
+// The Detection slices returned by AccessRange and Flush are backed
 // by tracker-owned scratch and are valid only until the next call on the
 // same tracker; callers that keep detections across calls must copy them.
 // The engine consumes every detection before touching the tracker again, so
@@ -161,41 +161,6 @@ func (t *Tracker) lookup(chunk uint64, now sim.Time, out *[]Detection) int {
 	return -1
 }
 
-// Access records a 64B-block touch at simulation time now and returns any
-// detections produced by evictions this access caused (lifetime expiries
-// observed now, a full entry, or an LRU capacity victim). The returned
-// slice aliases tracker scratch (see Tracker).
-func (t *Tracker) Access(addr uint64, now sim.Time) []Detection {
-	out := t.access(addr, now, t.scratch[:0])
-	t.scratch = out
-	return out
-}
-
-func (t *Tracker) access(addr uint64, now sim.Time, out []Detection) []Detection {
-	t.Stats.Accesses++
-	t.sweepExpired(now, &out)
-	chunk := meta.ChunkIndex(addr)
-	idx := t.lookup(chunk, now, &out)
-	if idx < 0 {
-		idx = t.allocate(&out, now)
-		t.entries[idx] = entry{valid: true, chunk: chunk, born: now}
-	}
-	e := &t.entries[idx]
-	e.lastUse = now
-	b := meta.BlockInChunk(addr)
-	word, bit := b/64, uint(b%64)
-	if e.bits[word]>>bit&1 == 0 {
-		e.bits[word] |= 1 << bit
-		e.count++
-	}
-	// Evict when every cacheline of the chunk has been touched (count
-	// reaches 32KB/64B = 512).
-	if e.count >= meta.BlocksPerChunk {
-		out = append(out, t.evict(idx, EvictFull))
-	}
-	return out
-}
-
 func (t *Tracker) allocate(out *[]Detection, now sim.Time) int {
 	lru, lruAt := -1, sim.MaxTime
 	for i := range t.entries {
@@ -231,14 +196,17 @@ func (t *Tracker) evict(i int, cause EvictCause) Detection {
 	return d
 }
 
-// AccessRange records a bulk touch of [addr, addr+size), which may span
-// chunk boundaries (an NPU DMA tile, a coalesced GPU burst), and returns
-// the detections any resulting evictions produce. Semantically identical
-// to calling Access for every 64B block, but sets bits a word at a time.
-// The returned slice aliases tracker scratch (see Tracker).
+// AccessRange records a touch of [addr, addr+size) at simulation time now,
+// which may span chunk boundaries (an NPU DMA tile, a coalesced GPU
+// burst), and returns the detections produced by evictions this touch
+// caused (lifetime expiries observed now, a full entry, or an LRU capacity
+// victim). A touch of at most one block records the block containing addr.
+// Bits are set a word at a time, with the same outcome as touching each
+// 64B block in turn. The returned slice aliases tracker scratch (see
+// Tracker).
 func (t *Tracker) AccessRange(addr uint64, size int, now sim.Time) []Detection {
 	if size <= meta.BlockSize {
-		return t.Access(addr, now)
+		size = 1
 	}
 	out := t.scratch[:0]
 	end := addr + uint64(size)
@@ -255,7 +223,9 @@ func (t *Tracker) AccessRange(addr uint64, size int, now sim.Time) []Detection {
 	return out
 }
 
-// accessSpan handles a touch confined to one chunk.
+// accessSpan handles a touch confined to one chunk. An entry evicts when
+// every cacheline of its chunk has been touched (count reaches
+// 32KB/64B = 512).
 func (t *Tracker) accessSpan(addr, end uint64, now sim.Time, out []Detection) []Detection {
 	t.Stats.Accesses++
 	t.sweepExpired(now, &out)

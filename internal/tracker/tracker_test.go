@@ -47,7 +47,7 @@ func TestFullChunkEviction(t *testing.T) {
 	tr := New(Config{Entries: 4, LifetimePs: sim.MaxTime / 2})
 	var dets []Detection
 	for b := 0; b < meta.BlocksPerChunk; b++ {
-		dets = append(dets, tr.Access(uint64(b*meta.BlockSize), 1)...)
+		dets = append(dets, tr.AccessRange(uint64(b*meta.BlockSize), meta.BlockSize, 1)...)
 	}
 	if len(dets) != 1 {
 		t.Fatalf("detections = %d, want 1", len(dets))
@@ -64,16 +64,27 @@ func TestFullChunkEviction(t *testing.T) {
 func TestDuplicateTouchesDoNotDoubleCount(t *testing.T) {
 	tr := New(Config{Entries: 4, LifetimePs: sim.MaxTime / 2})
 	for i := 0; i < 1000; i++ {
-		if dets := tr.Access(0, 1); len(dets) != 0 {
+		if dets := tr.AccessRange(0, meta.BlockSize, 1); len(dets) != 0 {
 			t.Fatal("repeated single-block touches evicted the entry")
 		}
 	}
 }
 
+// A touch of at most one block records only the block containing addr,
+// even when it is unaligned and reaches into the next block.
+func TestSubBlockTouchRecordsContainingBlock(t *testing.T) {
+	tr := New(Config{Entries: 1, LifetimePs: sim.MaxTime / 2})
+	tr.AccessRange(meta.PartitionSize-32, meta.BlockSize, 1)
+	dets := tr.Flush()
+	if len(dets) != 1 || dets[0].Touched != 0b1 {
+		t.Fatalf("dets = %+v, want one detection touching only partition 0", dets)
+	}
+}
+
 func TestLifetimeEviction(t *testing.T) {
 	tr := newT() // lifetime 1000
-	tr.Access(0, 0)
-	dets := tr.Access(meta.ChunkSize, 1000) // different chunk, first expired
+	tr.AccessRange(0, meta.BlockSize, 0)
+	dets := tr.AccessRange(meta.ChunkSize, meta.BlockSize, 1000) // different chunk, first expired
 	if len(dets) != 1 || dets[0].Cause != EvictLifetime {
 		t.Fatalf("dets = %+v, want one lifetime eviction", dets)
 	}
@@ -81,10 +92,10 @@ func TestLifetimeEviction(t *testing.T) {
 
 func TestLRUCapacityEviction(t *testing.T) {
 	tr := New(Config{Entries: 2, LifetimePs: sim.MaxTime / 2})
-	tr.Access(0*meta.ChunkSize, 1)
-	tr.Access(1*meta.ChunkSize, 2)
-	tr.Access(0*meta.ChunkSize, 3) // chunk 0 now MRU
-	dets := tr.Access(2*meta.ChunkSize, 4)
+	tr.AccessRange(0*meta.ChunkSize, meta.BlockSize, 1)
+	tr.AccessRange(1*meta.ChunkSize, meta.BlockSize, 2)
+	tr.AccessRange(0*meta.ChunkSize, meta.BlockSize, 3) // chunk 0 now MRU
+	dets := tr.AccessRange(2*meta.ChunkSize, meta.BlockSize, 4)
 	if len(dets) != 1 || dets[0].Cause != EvictLRU || dets[0].Chunk != 1 {
 		t.Fatalf("dets = %+v, want LRU eviction of chunk 1", dets)
 	}
@@ -94,9 +105,9 @@ func TestStreamDetectionPartialChunk(t *testing.T) {
 	tr := New(Config{Entries: 1, LifetimePs: sim.MaxTime / 2})
 	// Touch every block of partition 3 and one block of partition 5.
 	for b := 0; b < meta.BlocksPerPartition; b++ {
-		tr.Access(uint64(3*meta.PartitionSize+b*meta.BlockSize), 1)
+		tr.AccessRange(uint64(3*meta.PartitionSize+b*meta.BlockSize), meta.BlockSize, 1)
 	}
-	tr.Access(5*meta.PartitionSize, 1)
+	tr.AccessRange(5*meta.PartitionSize, meta.BlockSize, 1)
 	dets := tr.Flush()
 	if len(dets) != 1 {
 		t.Fatalf("flush produced %d detections", len(dets))
@@ -128,7 +139,7 @@ func TestDefaultsApplied(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	tr := New(Config{Entries: 2, LifetimePs: sim.MaxTime / 2})
 	for b := 0; b < meta.BlocksPerChunk; b++ {
-		tr.Access(uint64(b*meta.BlockSize), 1)
+		tr.AccessRange(uint64(b*meta.BlockSize), meta.BlockSize, 1)
 	}
 	if tr.Stats.Detections != 1 || tr.Stats.Evictions[EvictFull] != 1 {
 		t.Fatalf("stats = %+v", tr.Stats)
@@ -174,7 +185,7 @@ func TestSequentialWalkDetectsStreamProperty(t *testing.T) {
 		base := uint64(chunkSeed) * meta.ChunkSize
 		var dets []Detection
 		for b := 0; b < meta.BlocksPerChunk; b++ {
-			dets = append(dets, tr.Access(base+uint64(b*meta.BlockSize), 5)...)
+			dets = append(dets, tr.AccessRange(base+uint64(b*meta.BlockSize), meta.BlockSize, 5)...)
 		}
 		return len(dets) == 1 && dets[0].Stream == meta.AllStream && dets[0].Chunk == uint64(chunkSeed)
 	}
@@ -183,7 +194,8 @@ func TestSequentialWalkDetectsStreamProperty(t *testing.T) {
 	}
 }
 
-// Property: AccessRange is semantically identical to per-block Access.
+// Property: AccessRange over a span is semantically identical to touching
+// each of its blocks in turn.
 func TestAccessRangeEquivalenceProperty(t *testing.T) {
 	f := func(start uint16, span uint16) bool {
 		addr := uint64(start) * meta.BlockSize
@@ -195,7 +207,7 @@ func TestAccessRangeEquivalenceProperty(t *testing.T) {
 		detA := append([]Detection(nil), a.AccessRange(addr, size, 5)...)
 		var detB []Detection
 		for off := 0; off < size; off += meta.BlockSize {
-			detB = append(detB, b.Access(addr+uint64(off), 5)...)
+			detB = append(detB, b.AccessRange(addr+uint64(off), meta.BlockSize, 5)...)
 		}
 		detA = append(detA, a.Flush()...)
 		detB = append(detB, b.Flush()...)
