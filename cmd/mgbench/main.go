@@ -14,9 +14,10 @@
 // ETA on stderr. Results are identical at any worker count.
 //
 // Experiment identifiers: fig04 fig05 fig06 table2 fig15 fig16 fig17
-// fig18 fig19 fig20 fig21, plus the probe-backed extension experiments
-// ext-walklen (tree-walk length distribution) and ext-breakdown (DRAM
-// traffic split by metadata type).
+// fig18 fig19 fig20 fig21, plus the extension experiments ext-latency
+// (read-latency distribution per scheme), ext-walklen (tree-walk length
+// distribution), ext-breakdown (DRAM traffic split by metadata type) and
+// ext-matrix (the full scheme registry over an accelerator-heavy mix).
 package main
 
 import (

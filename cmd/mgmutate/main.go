@@ -12,15 +12,13 @@
 //	-ops list       comma-separated operator names (default: all)
 //	-list           print the operator table and exit
 //	-sample n       mutants per package (0 = all), seeded deterministic
-//	-seed n         sample seed
-//	-timeout d      per-test-invocation deadline
-//	-workers n      parallel mutants
-//	-short          pass -short to routed test packages
 //	-o file         write the JSON report here
 //	-floor file     gate per-package scores against a floor file
-//	-no-survivors   fail if any surviving mutant is untriaged
-//	-v              per-mutant progress on stderr
-//	-q              suppress the summary on stdout
+//
+// The go tool decides the module root and its packages (`go list`).
+// Mutants run on half the CPUs; each routed `go test` gets -short and a
+// two-minute deadline. Every finished mutant prints a progress line on
+// stderr, and the per-package score table goes to stdout.
 //
 // Every run first checks the //mutate:ignore directives of the target
 // packages. A malformed directive fails the run. A run of every operator
@@ -28,8 +26,10 @@
 // set and fails on any directive that covers no site. Both failures exit 1
 // before any mutant is built.
 //
-// Exit codes: 0 clean, 1 gate failure (stale or malformed directives,
-// floor regression, untriaged survivors), 2 usage or load error.
+// A run fails on any untriaged survivor (a survived mutant no directive
+// covers). Exit codes: 0 clean, 1 gate failure (stale or malformed
+// directives, floor regression, untriaged survivors), 2 usage or load
+// error.
 package main
 
 import (
@@ -38,9 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"unimem/internal/mutate"
 )
@@ -55,19 +53,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mgmutate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		pkgsFlag    = fs.String("pkgs", defaultPkgs, "comma-separated target packages (suffix match)")
-		opsFlag     = fs.String("ops", "", "comma-separated operator names (default: all)")
-		list        = fs.Bool("list", false, "print the operator table and exit")
-		sample      = fs.Int("sample", 0, "mutants per package (0 = all), seeded deterministic sample")
-		seed        = fs.Uint64("seed", 1, "sample seed")
-		timeout     = fs.Duration("timeout", 2*time.Minute, "per-test-invocation deadline")
-		workers     = fs.Int("workers", 0, "parallel mutants (0 = NumCPU/2)")
-		short       = fs.Bool("short", false, "pass -short to routed test packages")
-		out         = fs.String("o", "", "write the JSON report to this file")
-		floorFile   = fs.String("floor", "", "gate per-package scores against this floor file")
-		noSurvivors = fs.Bool("no-survivors", false, "fail if any surviving mutant is untriaged")
-		verbose     = fs.Bool("v", false, "per-mutant progress on stderr")
-		quiet       = fs.Bool("q", false, "suppress the summary on stdout")
+		pkgsFlag  = fs.String("pkgs", defaultPkgs, "comma-separated target packages (suffix match)")
+		opsFlag   = fs.String("ops", "", "comma-separated operator names (default: all)")
+		list      = fs.Bool("list", false, "print the operator table and exit")
+		sample    = fs.Int("sample", 0, "mutants per package (0 = all), seeded deterministic sample")
+		out       = fs.String("o", "", "write the JSON report to this file")
+		floorFile = fs.String("floor", "", "gate per-package scores against this floor file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -113,9 +104,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	ops := mutate.Operators()
+	ops := mutate.Operators
 	if *opsFlag != "" {
-		ops = ops[:0]
+		ops = nil
 		for _, name := range strings.Split(*opsFlag, ",") {
 			name = strings.TrimSpace(name)
 			op, ok := mutate.OperatorByName(name)
@@ -145,12 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *workers <= 0 {
-		*workers = runtime.NumCPU() / 2
-		if *workers < 1 {
-			*workers = 1
-		}
-	}
 	siteCounts := map[string]int{}
 	for _, p := range targets {
 		siteCounts[p.Path] = 0
@@ -159,26 +144,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		siteCounts[s.Pkg]++
 	}
 
-	results, err := m.Run(context.Background(), sites, ignores, mutate.RunOptions{
-		Sample: *sample, Seed: *seed, Workers: *workers,
-		Timeout: *timeout, Short: *short, Verbose: *verbose, Stderr: stderr,
-	})
+	results, err := m.Run(context.Background(), sites, ignores, *sample, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "mgmutate: %v\n", err)
 		return 2
 	}
-	rep := mutate.BuildReport(m, results, siteCounts, mutate.RunOptions{
-		Sample: *sample, Seed: *seed, Short: *short,
-	})
+	rep := mutate.BuildReport(m, results, siteCounts, *sample)
 	if *out != "" {
 		if err := rep.WriteJSON(*out); err != nil {
 			fmt.Fprintf(stderr, "mgmutate: %v\n", err)
 			return 2
 		}
 	}
-	if !*quiet {
-		printSummary(stdout, rep)
-	}
+	printSummary(stdout, rep)
 
 	fail := false
 	if *floorFile != "" {
@@ -192,12 +170,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fail = true
 		}
 	}
-	if *noSurvivors {
-		for _, mu := range rep.Survivors() {
-			fmt.Fprintf(stderr, "mgmutate: untriaged survivor #%d %s %s:%d: %s -> %s (%s)\n",
-				mu.ID, mu.Op, mu.File, mu.Line, mu.Orig, mu.Repl, mu.Desc)
-			fail = true
-		}
+	for _, mu := range rep.Survivors() {
+		fmt.Fprintf(stderr, "mgmutate: untriaged survivor #%d %s %s:%d: %s -> %s (%s)\n",
+			mu.ID, mu.Op, mu.File, mu.Line, mu.Orig, mu.Repl, mu.Desc)
+		fail = true
 	}
 	if fail {
 		return 1
@@ -207,9 +183,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // printOperators writes the -list table.
 func printOperators(w io.Writer) {
-	fmt.Fprintf(w, "%-14s %-8s %s\n", "OPERATOR", "TIER", "DESCRIPTION")
-	for _, op := range mutate.Operators() {
-		fmt.Fprintf(w, "%-14s %-8s %s\n", op.Name(), op.Tier(), op.Doc())
+	fmt.Fprintf(w, "%-14s %s\n", "OPERATOR", "DESCRIPTION")
+	for _, op := range mutate.Operators {
+		fmt.Fprintf(w, "%-14s %s\n", op.Name, op.Doc)
 	}
 }
 

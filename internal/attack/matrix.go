@@ -129,7 +129,7 @@ func MatrixFor(s core.Scheme) [NumClasses]Cell {
 		row[MACTamper] = Cell{Expect: Detected}
 		row[Splice] = Cell{Expect: Detected}
 		row[Replay] = Cell{Undetectable,
-			"CounterMode=CounterSkip for every device: the MAC binds (address, ciphertext) " +
+			"Spec.Counters=CountersNone: the MAC binds (address, ciphertext) " +
 				"but no freshness state exists, so a stale (ciphertext, MAC) pair verifies — " +
 				"the provable replay gap of SecDDR-style MAC-only protection"}
 		row[CounterTamper] = Cell{Impossible, "no counters are stored"}

@@ -18,7 +18,7 @@ type Request struct {
 	// Addr is the starting byte address (64B aligned).
 	Addr uint64
 	// Size is the transaction size in bytes (64B for a cacheline miss,
-	// up to 32KB for a DMA tile).
+	// up to 32KB for a DMA tile; Submit reads a non-positive size as 64B).
 	Size int
 	// Write marks a dirty-eviction / DMA store.
 	Write bool

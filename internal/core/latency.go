@@ -62,8 +62,6 @@ func (e *Engine) recordReadLatency(dev int, d sim.Time) {
 	if dev >= 0 && dev < len(e.perDev) {
 		s := &e.perDev[dev]
 		s.ReadLatencyPs += d
-		if d > s.MaxReadLatencyPs {
-			s.MaxReadLatencyPs = d
-		}
+		s.MaxReadLatencyPs = max(s.MaxReadLatencyPs, d)
 	}
 }

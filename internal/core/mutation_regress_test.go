@@ -56,6 +56,93 @@ func TestChunkOpChildAdvancesJoinTime(t *testing.T) {
 	}
 }
 
+// Kills the swap-ineq mutants on the per-device statistics guards
+// (latency.go): a request from a device index one past Options.Devices
+// completes and is counted only in the engine-wide statistics.
+func TestRequestFromDevicePastRangeCompletes(t *testing.T) {
+	r := newRig(Ours, Options{Devices: 2})
+	r.do(Request{Device: 2, Addr: 0, Size: 64})
+	if r.en.Stats.Requests != 1 {
+		t.Fatalf("requests = %d, want 1", r.en.Stats.Requests)
+	}
+	for i := 0; i < 3; i++ {
+		if d := r.en.DeviceStats(i); d != (DeviceStats{}) {
+			t.Fatalf("device %d stats = %+v, want none", i, d)
+		}
+	}
+}
+
+// Kills the off-by-one mutant on the sub-unit write fetch (pipeline.go):
+// a write one block short of its 512B unit over-fetches a single beat,
+// and must still read the whole covering unit.
+func TestSubUnitWriteOneBlockShortReadsUnit(t *testing.T) {
+	r := newRig(StaticDeviceBest, Options{StaticGran: []meta.Gran{meta.Gran512}})
+	r.do(Request{Addr: meta.BlockSize, Size: meta.PartitionSize - meta.BlockSize, Write: true})
+	if got := r.mm.Stats.Reads[mem.Data]; got != meta.BlocksPerPartition {
+		t.Fatalf("data read beats = %d, want %d (the covering 512B unit)", got, meta.BlocksPerPartition)
+	}
+}
+
+// Kills the off-by-one mutant on splitOp.child's join-time update
+// (pipeline.go): a chunk-crossing request completes with its latest
+// chunk, also when that chunk finishes one tick after the previous latest.
+func TestSplitOpChildAdvancesJoinTime(t *testing.T) {
+	r := newRig(Ours, Options{})
+	var at sim.Time = -1
+	sp := r.en.getSplit(func(t sim.Time) { at = t })
+	sp.pending = 3
+	sp.child(100)
+	sp.child(101)
+	sp.sealed = true
+	sp.child(50)
+	if at != 101 {
+		t.Fatalf("split completed at %d, want 101 (its latest chunk)", at)
+	}
+}
+
+// Kills the unit-swap mutant on Submit's default size (pipeline.go): a
+// request without a size moves one 64B block.
+func TestZeroSizeRequestMovesOneBlock(t *testing.T) {
+	r := newRig(Unsecure, Options{})
+	r.do(Request{Addr: 0})
+	if got := r.mm.Stats.Reads[mem.Data]; got != 1 {
+		t.Fatalf("data beats = %d, want 1", got)
+	}
+}
+
+// Kills the drop-window mutant on the misprediction demotion
+// (pipeline.go): a cold unaligned write into a coarse unit demotes that
+// unit from the current encoding. A promotion pending elsewhere in the
+// chunk must not land with it: nothing has charged its switch.
+func TestMispredictionDemotesFromCurrentEncoding(t *testing.T) {
+	r := newRig(Ours, Options{})
+	tb := r.en.Table()
+	tb.SetNext(0, 0xff) // partitions 0-7: one 4KB unit
+	tb.CommitAll(0)
+	tb.SetNext(0, 0xffff) // partitions 8-15 promoted too, still pending
+	r.do(Request{Addr: 2 * meta.BlockSize, Size: meta.BlockSize, Write: true})
+	if g := tb.Current(0).GranOf(0); g != meta.Gran64 {
+		t.Fatalf("mispredicted unit is %v, want demoted to 64B", g)
+	}
+	if g := tb.Current(0).GranOf(8); g != meta.Gran64 {
+		t.Fatalf("partitions 8-15 are %v: the pending promotion landed with the demotion", g)
+	}
+}
+
+// Kills the swap-ineq mutant in beatsOf (observe.go): the probe's beat
+// count mirrors mem's rounding for every size, a non-positive one too.
+func TestBeatsOfMirrorsMem(t *testing.T) {
+	for _, size := range []int{-1, 0, 1, 64, 65, 4096} {
+		se := sim.NewEngine()
+		mm := mem.New(se, mem.OrinConfig())
+		mm.Read(0, size, mem.Data, func(sim.Time) {})
+		se.RunAll()
+		if got, want := beatsOf(size), int(mm.Stats.Reads[mem.Data]); got != want {
+			t.Errorf("beatsOf(%d) = %d, mem issued %d beats", size, got, want)
+		}
+	}
+}
+
 // Kills the swap-ineq mutant in partMask (pipeline.go): the partition
 // holding the last byte of a span must be part of the mask.
 func TestPartMaskCoversLastPartition(t *testing.T) {

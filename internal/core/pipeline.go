@@ -428,7 +428,8 @@ func (e *Engine) expandUnit(op *chunkOp, chunk, chunkBase uint64, u unitSpan, fi
 		return
 	}
 	unitEnd := u.base + u.gran.Bytes()
-	covers := r.Addr <= u.base && r.Addr+uint64(r.Size) >= unitEnd
+	covers := r.Addr <= u.base && //mutate:ignore off-by-one requests are 64B aligned, so r.Addr <= u.base+1 holds exactly when r.Addr <= u.base
+		r.Addr+uint64(r.Size) >= unitEnd
 	if covers {
 		return
 	}
@@ -459,12 +460,7 @@ func (e *Engine) expandUnit(op *chunkOp, chunk, chunkBase uint64, u unitSpan, fi
 		}
 	}
 	// Written data: fetch the covering unit to re-verify/re-seal.
-	if u.base < op.lo {
-		op.lo = u.base
-	}
-	if unitEnd > op.hi {
-		op.hi = unitEnd
-	}
+	op.lo, op.hi = min(op.lo, u.base), max(op.hi, unitEnd)
 	// Misprediction handler (section 4.4): having paid the whole-unit
 	// fetch, the unit scales down immediately so repeated fine access
 	// does not pay it again; the tracker re-promotes if streaming

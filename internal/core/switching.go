@@ -82,7 +82,7 @@ func refuteMask(prev, touched meta.StreamPart) meta.StreamPart {
 		return 0
 	}
 	var out meta.StreamPart
-	for g := 0; g < 8; g++ {
+	for g := range 8 {
 		groupMask := meta.StreamPart(0xff) << (uint(g) * 8)
 		if prev&groupMask != groupMask {
 			continue // not a 4KB unit
@@ -175,7 +175,7 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 
 	// MAC side.
 	if e.spec.MultiMAC {
-		if to < from {
+		if to < from { //mutate:ignore swap-ineq chargeSwitch runs only for a pending unit, so from != to
 			unitMask := partMask(chunkBase, chunkBase+uint64(b&^(from.Blocks()-1))*meta.BlockSize, int(from.Bytes()))
 			readOnly := e.writtenParts[chunk]&unitMask == 0
 			if readOnly {

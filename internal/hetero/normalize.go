@@ -2,7 +2,6 @@ package hetero
 
 import (
 	"unimem/internal/core"
-	"unimem/internal/probe"
 	"unimem/internal/stats"
 )
 
@@ -125,29 +124,4 @@ func secMissesOf(r SweepResult, s core.Scheme) (uint64, bool) {
 	}
 	n, ok := r.ByScheme[s]
 	return n.Raw.SecCacheMisses, ok
-}
-
-// ProbeAcross merges a scheme's probe summaries over a sweep run with
-// Config.Collect — the aggregate walk-length / traffic / switch-class
-// distributions of Figures 5 and 13 at sweep scale. It returns nil when no
-// run carried a summary (Collect was off). Unsecure resolves to the stored
-// baseline runs.
-func ProbeAcross(rs []SweepResult, s core.Scheme) *probe.Summary {
-	var agg *probe.Summary
-	for _, r := range rs {
-		var ps *probe.Summary
-		if s == core.Unsecure {
-			ps = r.Unsecure.Probe
-		} else if n, ok := r.ByScheme[s]; ok {
-			ps = n.Raw.Probe
-		}
-		if ps == nil {
-			continue
-		}
-		if agg == nil {
-			agg = &probe.Summary{}
-		}
-		agg.Merge(ps)
-	}
-	return agg
 }

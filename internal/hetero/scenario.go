@@ -7,7 +7,6 @@ package hetero
 
 import (
 	"fmt"
-	"sort"
 
 	"unimem/internal/workload"
 )
@@ -130,14 +129,4 @@ func ScenarioChunkMix(sc Scenario, scale float64, seed uint64) workload.ChunkMix
 	}
 	agg.Requests = total
 	return agg
-}
-
-// ScenarioNames lists IDs for a scenario slice (test helper).
-func ScenarioNames(scs []Scenario) []string {
-	out := make([]string, len(scs))
-	for i, s := range scs {
-		out[i] = s.ID
-	}
-	sort.Strings(out)
-	return out
 }

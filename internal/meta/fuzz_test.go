@@ -61,11 +61,16 @@ func FuzzGeometryEqs(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(0))
 	f.Add(uint64(128), uint64(511), uint64(AllStream))
 	f.Add(uint64(7), uint64(3*512+200), uint64(0xff)<<24)
+	f.Add(uint64(8), uint64(0), uint64(0)) // 9 chunks: one level more than 8 root entries
 	f.Fuzz(func(t *testing.T, chunks, blockIdx, spBits uint64) {
 		chunks = chunks%256 + 1
 		g := NewGeometry(chunks * ChunkSize)
 		blockIdx %= g.Blocks()
 		sp := StreamPart(spBits)
+
+		if r := g.RootEntries(); r < 1 || r > Arity {
+			t.Fatalf("chunks=%d: %d on-chip root entries, want 1..%d", chunks, r, Arity)
+		}
 
 		for level := 0; level+1 < g.Levels(); level++ {
 			parent := g.CounterEntryIndex(level+1, blockIdx)

@@ -1,6 +1,8 @@
 package meta
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -177,8 +179,8 @@ func TestGTEntryAddr(t *testing.T) {
 func TestCheckLevelPanics(t *testing.T) {
 	g := smallGeom()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range level did not panic")
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "outside stored levels") {
+			t.Fatalf("level %d panicked with %v, want the stored-level check", g.Levels(), r)
 		}
 	}()
 	g.CounterLineAddr(g.Levels(), 0)

@@ -135,10 +135,9 @@ func (sp StreamPart) DemoteMask(first, count int) StreamPart {
 	return sp &^ maskRange(first, count)
 }
 
+// maskRange needs no case for a whole chunk: a Go shift by 64 gives zero,
+// so count == 64 yields all ones.
 func maskRange(first, count int) StreamPart {
-	if count >= 64 {
-		return AllStream
-	}
 	return StreamPart((uint64(1)<<uint(count) - 1) << uint(first))
 }
 

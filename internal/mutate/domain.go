@@ -81,23 +81,6 @@ func lookupFunc(pkg *types.Package, name string) *types.Func {
 	return nil
 }
 
-// UnitSwap swaps byte/block/partition/chunk index domains: calls to
-// geometry helpers are redirected to their funcPartner twin, and geometry
-// constants are replaced by a different-domain constant (an Eq. 1-4
-// conversion-factor mixup).
-type UnitSwap struct{}
-
-// Name implements Operator.
-func (*UnitSwap) Name() string { return "unit-swap" }
-
-// Tier implements Operator.
-func (*UnitSwap) Tier() string { return "domain" }
-
-// Doc implements Operator.
-func (*UnitSwap) Doc() string {
-	return "swap byte/block/partition/chunk index helpers and geometry constants (stated partner tables)"
-}
-
 // constPartner swaps a geometry constant for one from a different unit
 // domain with a different value (equal-valued swaps like Arity vs
 // MACsPerLine, both 8, would be equivalent mutants). The pairs follow the
@@ -115,8 +98,11 @@ var constPartner = map[string]string{
 	"GTEntrySize":        "MACSize",
 }
 
-// Sites implements Operator.
-func (op *UnitSwap) Sites(m *Module, p *Package) []Site {
+// unitSwapSites swaps byte/block/partition/chunk index domains: calls to
+// geometry helpers are redirected to their funcPartner twin, and geometry
+// constants are replaced by a different-domain constant (an Eq. 1-4
+// conversion-factor mixup).
+func unitSwapSites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		switch e := n.(type) {
@@ -130,7 +116,7 @@ func (op *UnitSwap) Sites(m *Module, p *Package) []Site {
 			if ident == nil {
 				return
 			}
-			out = append(out, m.identSwapSite(p, op, ident, partner.Name(),
+			out = append(out, identSwapSite(p, ident, partner.Name(),
 				fmt.Sprintf("%s resolved as %s: a different unit domain with the same Go type", fn.Name(), partner.Name())))
 		case *ast.Ident:
 			obj := p.Info.Uses[e]
@@ -141,7 +127,7 @@ func (op *UnitSwap) Sites(m *Module, p *Package) []Site {
 			if !ok || inConstDeclOrArrayLen(stack) {
 				return
 			}
-			out = append(out, m.identSwapSite(p, op, e, partner,
+			out = append(out, identSwapSite(p, e, partner,
 				fmt.Sprintf("geometry constant %s replaced by %s: Eq. 1-4 conversion factor mixup", e.Name, partner)))
 		}
 	})
@@ -149,10 +135,10 @@ func (op *UnitSwap) Sites(m *Module, p *Package) []Site {
 }
 
 // identSwapSite replaces one identifier in place.
-func (m *Module) identSwapSite(p *Package, op Operator, ident *ast.Ident, repl, desc string) Site {
+func identSwapSite(p *Package, ident *ast.Ident, repl, desc string) Site {
 	file, start, end, pos := span(p, ident)
 	return Site{
-		Op: op.Name(), Tier: op.Tier(), Pkg: p.Path, File: file,
+		Pkg: p.Path, File: file,
 		Start: start, End: end, Orig: ident.Name, Repl: repl,
 		Pos: pos, Desc: desc,
 	}
@@ -185,25 +171,11 @@ func inConstDeclOrArrayLen(stack []ast.Node) bool {
 	return false
 }
 
-// DropVerify deletes integrity verification: a verify* call returning an
-// error is replaced by a nil error, and MAC equality checks are forced
+// dropVerifySites deletes integrity verification: a verify* call returning
+// an error is replaced by a nil error, and MAC equality checks are forced
 // true. This is the PR-7 TOCTOU laundering class — data flows on without
 // its authenticity being established.
-type DropVerify struct{}
-
-// Name implements Operator.
-func (*DropVerify) Name() string { return "drop-verify" }
-
-// Tier implements Operator.
-func (*DropVerify) Tier() string { return "domain" }
-
-// Doc implements Operator.
-func (*DropVerify) Doc() string {
-	return "delete verify/MAC checks: verify* calls return nil, crypto.Equal returns true (TOCTOU class)"
-}
-
-// Sites implements Operator.
-func (op *DropVerify) Sites(m *Module, p *Package) []Site {
+func dropVerifySites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		call, ok := n.(*ast.CallExpr)
@@ -222,13 +194,13 @@ func (op *DropVerify) Sites(m *Module, p *Package) []Site {
 					repl, node = "_ = error(nil)", es
 				}
 			}
-			out = append(out, m.site(p, op, node, repl,
+			out = append(out, m.site(p, node, repl,
 				fmt.Sprintf("%s deleted: unverified state flows on as authentic", fn.Name())))
 		case fn.Name() == "Equal" && fromCryptoPkg(fn) && len(stack) > 0:
 			if _, isStmt := stack[len(stack)-1].(*ast.ExprStmt); isStmt {
 				return
 			}
-			out = append(out, m.site(p, op, call, "true",
+			out = append(out, m.site(p, call, "true",
 				"MAC comparison forced true: any tag is accepted"))
 		}
 	})
@@ -250,25 +222,11 @@ func fromCryptoPkg(fn *types.Func) bool {
 	return fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "/internal/crypto")
 }
 
-// SkipLevel makes integrity-tree walks ascend two levels at a time,
+// skipLevelSites makes integrity-tree walks ascend two levels at a time,
 // leaving every other level unverified/unversioned — the partial-walk
 // defect a multi-granular tree is particularly exposed to (the promoted
 // start level must still chain to the root).
-type SkipLevel struct{}
-
-// Name implements Operator.
-func (*SkipLevel) Name() string { return "skip-level" }
-
-// Tier implements Operator.
-func (*SkipLevel) Tier() string { return "domain" }
-
-// Doc implements Operator.
-func (*SkipLevel) Doc() string {
-	return "tree walks skip every other level (level++ becomes level += 2)"
-}
-
-// Sites implements Operator.
-func (op *SkipLevel) Sites(m *Module, p *Package) []Site {
+func skipLevelSites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		fs, ok := n.(*ast.ForStmt)
@@ -283,28 +241,10 @@ func (op *SkipLevel) Sites(m *Module, p *Package) []Site {
 		if !ok || !strings.Contains(strings.ToLower(ident.Name), "level") {
 			return
 		}
-		out = append(out, m.site(p, op, fs.Post, ident.Name+" += 2",
+		out = append(out, m.site(p, fs.Post, ident.Name+" += 2",
 			"tree walk skips every other level: the chain to the root has holes"))
 	})
 	return out
-}
-
-// DropBump elides counter advancement: `x + 1` loses its increment and
-// counter increments are deleted wherever the value involved is a
-// major/minor/version counter. A survivor means counter freshness (the
-// anti-replay property) is untested on that path — the MGX
-// version-elision class.
-type DropBump struct{}
-
-// Name implements Operator.
-func (*DropBump) Name() string { return "drop-bump" }
-
-// Tier implements Operator.
-func (*DropBump) Tier() string { return "domain" }
-
-// Doc implements Operator.
-func (*DropBump) Doc() string {
-	return "drop major/minor counter bumps (ctr+1 becomes ctr): the anti-replay freshness class"
 }
 
 // counterish matches the engine's counter vocabulary: split-counter
@@ -340,8 +280,12 @@ func mentionsCounter(e ast.Expr) bool {
 	return found && !stats
 }
 
-// Sites implements Operator.
-func (op *DropBump) Sites(m *Module, p *Package) []Site {
+// dropBumpSites elides counter advancement: `x + 1` loses its increment
+// and counter increments are deleted wherever the value involved is a
+// major/minor/version counter. A survivor means counter freshness (the
+// anti-replay property) is untested on that path — the MGX
+// version-elision class.
+func dropBumpSites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		switch e := n.(type) {
@@ -353,7 +297,7 @@ func (op *DropBump) Sites(m *Module, p *Package) []Site {
 			xEnd := p.Fset.Position(e.X.End())
 			eEnd := p.Fset.Position(e.End())
 			out = append(out, Site{
-				Op: op.Name(), Tier: op.Tier(), Pkg: p.Path, File: file,
+				Pkg: p.Path, File: file,
 				Start: xEnd.Offset, End: eEnd.Offset,
 				Orig: m.nodeText(p, e)[xEnd.Offset-p.Fset.Position(e.Pos()).Offset:],
 				Repl: "", Pos: p.Fset.Position(e.Pos()),
@@ -368,7 +312,7 @@ func (op *DropBump) Sites(m *Module, p *Package) []Site {
 					return // loop post statements are not counter state
 				}
 			}
-			out = append(out, m.site(p, op, e, "", "counter increment deleted: the version never advances"))
+			out = append(out, m.site(p, e, "", "counter increment deleted: the version never advances"))
 		}
 	})
 	return out
@@ -378,23 +322,6 @@ func (op *DropBump) Sites(m *Module, p *Package) []Site {
 func isLiteralOne(e ast.Expr) bool {
 	lit, ok := ast.Unparen(e).(*ast.BasicLit)
 	return ok && lit.Kind == token.INT && lit.Value == "1"
-}
-
-// InvertSwitch inverts the fine↔coarse direction of granularity
-// switching: comparisons between two granularities have their operands
-// swapped (scale-up classified as scale-down and vice versa), and
-// promote/demote entry points trade places.
-type InvertSwitch struct{}
-
-// Name implements Operator.
-func (*InvertSwitch) Name() string { return "invert-switch" }
-
-// Tier implements Operator.
-func (*InvertSwitch) Tier() string { return "domain" }
-
-// Doc implements Operator.
-func (*InvertSwitch) Doc() string {
-	return "invert fine/coarse switch direction: Gran comparisons swap operands, Promote and Demote trade places"
 }
 
 // invertPairs are the promote/demote twins (identical signatures, opposite
@@ -407,8 +334,11 @@ var invertPairs = map[string]struct{ partner, recvSuffix string }{
 	"Demote":      {"Promote", "secmem.Memory"},
 }
 
-// Sites implements Operator.
-func (op *InvertSwitch) Sites(m *Module, p *Package) []Site {
+// invertSwitchSites inverts the fine↔coarse direction of granularity
+// switching: comparisons between two granularities have their operands
+// swapped (scale-up classified as scale-down and vice versa), and
+// promote/demote entry points trade places.
+func invertSwitchSites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		switch e := n.(type) {
@@ -422,7 +352,7 @@ func (op *InvertSwitch) Sites(m *Module, p *Package) []Site {
 				return
 			}
 			lhs, rhs := m.nodeText(p, e.X), m.nodeText(p, e.Y)
-			out = append(out, m.site(p, op, e, rhs+" "+e.Op.String()+" "+lhs,
+			out = append(out, m.site(p, e, rhs+" "+e.Op.String()+" "+lhs,
 				"granularity comparison operands swapped: scale-up and scale-down trade places"))
 		case *ast.CallExpr:
 			fn := calleeFunc(p, e)
@@ -441,7 +371,7 @@ func (op *InvertSwitch) Sites(m *Module, p *Package) []Site {
 			if ident == nil {
 				return
 			}
-			out = append(out, m.identSwapSite(p, op, ident, pair.partner,
+			out = append(out, identSwapSite(p, ident, pair.partner,
 				fmt.Sprintf("%s becomes %s: the switch runs in the opposite direction", fn.Name(), pair.partner)))
 		}
 	})
@@ -453,27 +383,13 @@ func isGran(p *Package, e ast.Expr) bool {
 	return strings.HasSuffix(typeString(p.Info.TypeOf(e)), metaPathSuffix+".Gran")
 }
 
-// DropWindow elides the lazy-switch window: pending-switch commits are
-// deleted or collapsed, reads resolve against the not-yet-committed
+// dropWindowSites elides the lazy-switch window: pending-switch commits
+// are deleted or collapsed, reads resolve against the not-yet-committed
 // encoding, and the switch-window probe event disappears. (A reseal from
 // off-chip ciphertext, the TOCTOU hole the attack harness found, has no
 // site: no sealer reads stored ciphertext. Its owners are drop-verify on
 // stage's verify calls and the xgran-splice row of the detection matrix.)
-type DropWindow struct{}
-
-// Name implements Operator.
-func (*DropWindow) Name() string { return "drop-window" }
-
-// Tier implements Operator.
-func (*DropWindow) Tier() string { return "domain" }
-
-// Doc implements Operator.
-func (*DropWindow) Doc() string {
-	return "elide the lazy-switch window: commits dropped, Current reads Next, window probe deleted"
-}
-
-// Sites implements Operator.
-func (op *DropWindow) Sites(m *Module, p *Package) []Site {
+func dropWindowSites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		switch e := n.(type) {
@@ -487,7 +403,7 @@ func (op *DropWindow) Sites(m *Module, p *Package) []Site {
 				return
 			}
 			if fn.Name() == "CommitAll" || fn.Name() == "SetNext" {
-				out = append(out, m.site(p, op, e, "",
+				out = append(out, m.site(p, e, "",
 					fmt.Sprintf("%s deleted: the lazy switch never lands", fn.Name())))
 			}
 		case *ast.CallExpr:
@@ -504,14 +420,14 @@ func (op *DropWindow) Sites(m *Module, p *Package) []Site {
 				recv := m.nodeText(p, sel.X)
 				a, b := m.nodeText(p, e.Args[0]), m.nodeText(p, e.Args[1])
 				cur := fmt.Sprintf("%s.Current(%s).GranOfBlock(%s)", recv, a, b)
-				out = append(out, m.site(p, op, e, cur+", "+cur,
+				out = append(out, m.site(p, e, cur+", "+cur,
 					"CommitUnit collapsed to a read: pending switches never commit"))
 			case fn.Name() == "Current" && onTable(fn) && sel != nil:
-				out = append(out, m.identSwapSite(p, op, sel.Sel, "Next",
+				out = append(out, identSwapSite(p, sel.Sel, "Next",
 					"Current reads the uncommitted Next encoding: the window collapses to zero"))
 			}
 		case *ast.IfStmt:
-			if site, ok := m.probeWindowSite(p, op, e); ok {
+			if site, ok := m.probeWindowSite(p, e); ok {
 				out = append(out, site)
 			}
 		}
@@ -542,7 +458,7 @@ func inTwoValueAssign(stack []ast.Node, call *ast.CallExpr) bool {
 // probeWindowSite matches the switch-window emission idiom — `if p != nil
 // { p.Event(...) }` where p is a probe — and deletes the whole guard,
 // eliding the observable window.
-func (m *Module) probeWindowSite(p *Package, op Operator, ifs *ast.IfStmt) (Site, bool) {
+func (m *Module) probeWindowSite(p *Package, ifs *ast.IfStmt) (Site, bool) {
 	cond, ok := ifs.Cond.(*ast.BinaryExpr)
 	if !ok || cond.Op != token.NEQ || ifs.Else != nil || ifs.Init != nil {
 		return Site{}, false
@@ -574,6 +490,6 @@ func (m *Module) probeWindowSite(p *Package, op Operator, ifs *ast.IfStmt) (Site
 	if !strings.Contains(m.nodeText(p, call), "EvSwitchWindow") {
 		return Site{}, false
 	}
-	return m.site(p, op, ifs, "",
+	return m.site(p, ifs, "",
 		"switch-window probe emission deleted: the window is no longer observable"), true
 }

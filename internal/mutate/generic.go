@@ -7,22 +7,10 @@ import (
 	"go/types"
 )
 
-// NegateCond negates `if` conditions. The classic strongest generic
+// negateCondSites negates `if` conditions. The classic strongest generic
 // operator: a surviving negated branch means no test distinguishes the
 // branch taken from the branch skipped.
-type NegateCond struct{}
-
-// Name implements Operator.
-func (*NegateCond) Name() string { return "negate-cond" }
-
-// Tier implements Operator.
-func (*NegateCond) Tier() string { return "generic" }
-
-// Doc implements Operator.
-func (*NegateCond) Doc() string { return "negate if-statement conditions" }
-
-// Sites implements Operator.
-func (op *NegateCond) Sites(m *Module, p *Package) []Site {
+func negateCondSites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		ifs, ok := n.(*ast.IfStmt)
@@ -30,24 +18,11 @@ func (op *NegateCond) Sites(m *Module, p *Package) []Site {
 			return
 		}
 		orig := m.nodeText(p, ifs.Cond)
-		out = append(out, m.site(p, op, ifs.Cond, "!("+orig+")",
+		out = append(out, m.site(p, ifs.Cond, "!("+orig+")",
 			"condition negated: both branches must be distinguishable by a test"))
 	})
 	return out
 }
-
-// SwapIneq swaps strict and non-strict comparisons (`<` ↔ `<=`,
-// `>` ↔ `>=`), the boundary-inclusion defect class.
-type SwapIneq struct{}
-
-// Name implements Operator.
-func (*SwapIneq) Name() string { return "swap-ineq" }
-
-// Tier implements Operator.
-func (*SwapIneq) Tier() string { return "generic" }
-
-// Doc implements Operator.
-func (*SwapIneq) Doc() string { return "swap strict and non-strict comparisons (< vs <=, > vs >=)" }
 
 // swapIneqRepl maps each comparison operator to its boundary twin.
 var swapIneqRepl = map[token.Token]string{
@@ -57,8 +32,9 @@ var swapIneqRepl = map[token.Token]string{
 	token.GEQ: ">",
 }
 
-// Sites implements Operator.
-func (op *SwapIneq) Sites(m *Module, p *Package) []Site {
+// swapIneqSites swaps strict and non-strict comparisons (`<` ↔ `<=`,
+// `>` ↔ `>=`), the boundary-inclusion defect class.
+func swapIneqSites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		be, ok := n.(*ast.BinaryExpr)
@@ -72,7 +48,7 @@ func (op *SwapIneq) Sites(m *Module, p *Package) []Site {
 		file, _, _, _ := span(p, be)
 		opPos := p.Fset.Position(be.OpPos)
 		out = append(out, Site{
-			Op: op.Name(), Tier: op.Tier(), Pkg: p.Path, File: file,
+			Pkg: p.Path, File: file,
 			Start: opPos.Offset, End: opPos.Offset + len(be.Op.String()),
 			Orig: be.Op.String(), Repl: repl, Pos: opPos,
 			Desc: "comparison boundary flipped: the equality case changes sides",
@@ -81,21 +57,9 @@ func (op *SwapIneq) Sites(m *Module, p *Package) []Site {
 	return out
 }
 
-// OffByOne shifts the right-hand bound of a comparison by one, the
+// offByOneSites shifts the right-hand bound of a comparison by one, the
 // fencepost defect class on loop bounds and limit checks.
-type OffByOne struct{}
-
-// Name implements Operator.
-func (*OffByOne) Name() string { return "off-by-one" }
-
-// Tier implements Operator.
-func (*OffByOne) Tier() string { return "generic" }
-
-// Doc implements Operator.
-func (*OffByOne) Doc() string { return "shift comparison bounds by one (x < n becomes x < n+1)" }
-
-// Sites implements Operator.
-func (op *OffByOne) Sites(m *Module, p *Package) []Site {
+func offByOneSites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		be, ok := n.(*ast.BinaryExpr)
@@ -111,7 +75,7 @@ func (op *OffByOne) Sites(m *Module, p *Package) []Site {
 			return
 		}
 		orig := m.nodeText(p, be.Y)
-		out = append(out, m.site(p, op, be.Y, "("+orig+" + 1)",
+		out = append(out, m.site(p, be.Y, "("+orig+" + 1)",
 			"bound shifted by one: the last element changes sides"))
 	})
 	return out
@@ -128,24 +92,12 @@ func isIntegerExpr(p *Package, e ast.Expr) bool {
 	return ok && b.Info()&types.IsInteger != 0
 }
 
-// EarlyReturn inserts a zero-value return at the top of a function body,
-// making the rest of the function dead: a survivor means nothing asserts
-// the function's effect at all. The return is wrapped in `if true { ... }`
-// so declarations below stay compilable (unreachable code is legal Go;
-// unused variables are not).
-type EarlyReturn struct{}
-
-// Name implements Operator.
-func (*EarlyReturn) Name() string { return "early-return" }
-
-// Tier implements Operator.
-func (*EarlyReturn) Tier() string { return "generic" }
-
-// Doc implements Operator.
-func (*EarlyReturn) Doc() string { return "return zero values at function entry, skipping the body" }
-
-// Sites implements Operator.
-func (op *EarlyReturn) Sites(m *Module, p *Package) []Site {
+// earlyReturnSites inserts a zero-value return at the top of a function
+// body, making the rest of the function dead: a survivor means nothing
+// asserts the function's effect at all. The return is wrapped in
+// `if true { ... }` so declarations below stay compilable (unreachable code
+// is legal Go; unused variables are not).
+func earlyReturnSites(m *Module, p *Package) []Site {
 	var out []Site
 	eachSourceFile(p, func(f *ast.File, n ast.Node, stack []ast.Node) {
 		fd, ok := n.(*ast.FuncDecl)
@@ -160,7 +112,7 @@ func (op *EarlyReturn) Sites(m *Module, p *Package) []Site {
 		insert := p.Fset.Position(fd.Body.Lbrace).Offset + 1
 		pos := p.Fset.Position(fd.Body.Lbrace)
 		out = append(out, Site{
-			Op: op.Name(), Tier: op.Tier(), Pkg: p.Path, File: file,
+			Pkg: p.Path, File: file,
 			Start: insert, End: insert,
 			Orig: "", Repl: "\n\tif true {\n\t\t" + ret + "\n\t}",
 			Pos:  pos,

@@ -1,24 +1,24 @@
 package mutate
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Package is one loaded, type-checked package of the module. Its files are
-// those of the default build configuration, in-package _test.go files
-// included; external _test packages are separate compilation units and are
-// skipped.
+// the ones `go list` names for the default build configuration, in-package
+// _test.go files included.
 type Package struct {
 	// Path is the import path ("unimem/internal/core").
 	Path string
@@ -33,111 +33,75 @@ type Package struct {
 	Info *types.Info
 }
 
-// loader type-checks the packages of one module from source. Intra-module
-// imports load recursively; everything else goes through the compiler's
-// source importer, so no export data or external tooling is needed.
+// listedPackage is the part of `go list -json` output the loader and the
+// router read.
+type listedPackage struct {
+	ImportPath   string
+	Dir          string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Imports      []string
+	TestImports  []string
+	XTestImports []string
+}
+
+// goList runs the go tool in dir and decodes its stream of JSON values.
+func goList[T any](dir string, args ...string) ([]T, error) {
+	cmd := exec.Command("go", append([]string{"list", "-json"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("mutate: go list %s in %s: %v: %s", strings.Join(args, " "), dir, err, strings.TrimSpace(stderr.String()))
+	}
+	var vals []T
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var v T
+		if err := dec.Decode(&v); err != nil {
+			return nil, fmt.Errorf("mutate: decoding go list output: %w", err)
+		}
+		vals = append(vals, v)
+	}
+	return vals, nil
+}
+
+// loader type-checks the listed packages of one module from source.
+// Intra-module imports load recursively; everything else goes through the
+// compiler's source importer, so no export data is needed.
 type loader struct {
 	fset    *token.FileSet
-	root    string // module root directory
-	module  string // module path from go.mod
 	std     types.ImporterFrom
-	pkgs    map[string]*Package // by import path; nil for a directory without files
-	loading map[string]bool     // import-cycle guard
+	listed  map[string]*listedPackage // the module's packages by import path
+	pkgs    map[string]*Package
+	loading map[string]bool // import-cycle guard
 }
 
-// findModuleRoot walks up from dir to the directory holding go.mod and
-// returns it with the declared module path.
-func findModuleRoot(dir string) (root, module string, err error) {
-	dir, err = filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, rerr := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if rerr == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module"); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("mutate: no module line in %s/go.mod", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("mutate: no go.mod above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-// loadPackages type-checks every package under the module root, skipping
-// hidden, underscore, testdata and vendor directories, and returns them in
+// loadPackages type-checks every listed package and returns them in
 // import-path order.
-func loadPackages(root, module string) ([]*Package, error) {
+func loadPackages(listed map[string]*listedPackage) ([]*Package, error) {
 	fset := token.NewFileSet()
 	ld := &loader{
 		fset:    fset,
-		root:    root,
-		module:  module,
 		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		listed:  listed,
 		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
 	}
 	var out []*Package
-	err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if dir != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
-			return filepath.SkipDir
-		}
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return err
-		}
-		path := module
-		if rel != "." {
-			path += "/" + filepath.ToSlash(rel)
-		}
+	for path := range listed {
 		p, err := ld.load(path)
-		if p != nil {
-			out = append(out, p)
+		if err != nil {
+			return nil, err
 		}
-		return err
-	})
-	if err != nil {
-		return nil, err
+		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
 }
 
-// defaultTag evaluates one build-constraint tag under the default build
-// configuration: the host platform, the gc toolchain and every go1.x
-// release tag. Every other tag is unset, as in a plain `go build`.
-func defaultTag(tag string) bool {
-	return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" || strings.HasPrefix(tag, "go1.")
-}
-
-// buildIncluded reports whether the file's build constraints hold under
-// the default build configuration.
-func buildIncluded(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			if expr, err := constraint.Parse(c.Text); err == nil && !expr.Eval(defaultTag) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // load parses and type-checks the package at an intra-module import path.
-// A directory whose files are all excluded yields (nil, nil).
 func (ld *loader) load(path string) (*Package, error) {
 	if p, ok := ld.pkgs[path]; ok {
 		return p, nil
@@ -148,28 +112,14 @@ func (ld *loader) load(path string) (*Package, error) {
 	ld.loading[path] = true
 	defer delete(ld.loading, path)
 
-	dir := filepath.Join(ld.root, filepath.FromSlash(strings.TrimPrefix(path, ld.module)))
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
+	lp := ld.listed[path]
 	var files []*ast.File
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+	for _, name := range slices.Concat(lp.GoFiles, lp.TestGoFiles) {
+		f, err := parser.ParseFile(ld.fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		if buildIncluded(f) && !strings.HasSuffix(f.Name.Name, "_test") {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		ld.pkgs[path] = nil
-		return nil, nil
+		files = append(files, f)
 	}
 
 	info := &types.Info{
@@ -178,13 +128,10 @@ func (ld *loader) load(path string) (*Package, error) {
 		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: importerFunc(func(ipath string) (*types.Package, error) {
-		if ipath != ld.module && !strings.HasPrefix(ipath, ld.module+"/") {
-			return ld.std.ImportFrom(ipath, dir, 0)
+		if ld.listed[ipath] == nil {
+			return ld.std.ImportFrom(ipath, lp.Dir, 0)
 		}
 		p, err := ld.load(ipath)
-		if err == nil && p == nil {
-			err = fmt.Errorf("mutate: import %q resolves to an empty package", ipath)
-		}
 		if err != nil {
 			return nil, err
 		}

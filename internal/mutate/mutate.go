@@ -13,7 +13,7 @@
 // elision.
 //
 // cmd/mgmutate is the command-line front end. Its output is deterministic
-// (same seed, byte-identical JSON report), so CI gates it against a
+// (same sample size, byte-identical JSON report), so CI gates it against a
 // checked-in score floor.
 package mutate
 
@@ -32,8 +32,6 @@ import (
 type Site struct {
 	// Op is the operator name ("negate-cond", "unit-swap", ...).
 	Op string
-	// Tier is "generic" or "domain".
-	Tier string
 	// Pkg is the import path of the containing package.
 	Pkg string
 	// File is the absolute path of the source file.
@@ -72,46 +70,45 @@ func (s Site) less(o Site) bool {
 }
 
 // Operator is one mutation rule.
-type Operator interface {
+type Operator struct {
 	// Name is the operator name used in reports and ignore directives.
-	Name() string
-	// Tier is "generic" or "domain".
-	Tier() string
+	Name string
 	// Doc is a one-line description for -list output.
-	Doc() string
-	// Sites returns the operator's mutable locations in one package.
-	Sites(m *Module, p *Package) []Site
+	Doc string
+	// sites returns the operator's mutable locations in one package; the
+	// caller stamps Op on them.
+	sites func(m *Module, p *Package) []Site
 }
 
-// Operators returns the full operator set in stable order.
-func Operators() []Operator {
-	return []Operator{
-		&NegateCond{},
-		&SwapIneq{},
-		&OffByOne{},
-		&EarlyReturn{},
-		&UnitSwap{},
-		&DropVerify{},
-		&SkipLevel{},
-		&DropBump{},
-		&InvertSwitch{},
-		&DropWindow{},
-	}
+// Operators is the full operator set in stable order: the generic tier
+// (generic.go), then the domain tier (domain.go).
+var Operators = []Operator{
+	{"negate-cond", "negate if-statement conditions", negateCondSites},
+	{"swap-ineq", "swap strict and non-strict comparisons (< vs <=, > vs >=)", swapIneqSites},
+	{"off-by-one", "shift comparison bounds by one (x < n becomes x < n+1)", offByOneSites},
+	{"early-return", "return zero values at function entry, skipping the body", earlyReturnSites},
+	{"unit-swap", "swap byte/block/partition/chunk index helpers and geometry constants (stated partner tables)", unitSwapSites},
+	{"drop-verify", "delete verify/MAC checks: verify* calls return nil, crypto.Equal returns true (TOCTOU class)", dropVerifySites},
+	{"skip-level", "tree walks skip every other level (level++ becomes level += 2)", skipLevelSites},
+	{"drop-bump", "drop major/minor counter bumps (ctr+1 becomes ctr): the anti-replay freshness class", dropBumpSites},
+	{"invert-switch", "invert fine/coarse switch direction: Gran comparisons swap operands, Promote and Demote trade places", invertSwitchSites},
+	{"drop-window", "elide the lazy-switch window: commits dropped, Current reads Next, window probe deleted", dropWindowSites},
 }
 
 // OperatorByName resolves an operator name.
 func OperatorByName(name string) (Operator, bool) {
-	for _, op := range Operators() {
-		if op.Name() == name {
+	for _, op := range Operators {
+		if op.Name == name {
 			return op, true
 		}
 	}
-	return nil, false
+	return Operator{}, false
 }
 
 // Module is one loaded module plus the shared indexes the operators and
 // the runner consult: source bytes, the resolved unit-swap partners, and
-// the (test-inclusive) import graph.
+// the go tool's package list, whose imports (test files included) route
+// the mutants.
 type Module struct {
 	// Root is the absolute module root directory.
 	Root string
@@ -123,21 +120,35 @@ type Module struct {
 
 	partners map[*types.Func]*types.Func
 	src      map[string][]byte
-	routes   *routes
+	listed   map[string]*listedPackage  // `go list ./...` by import path
+	closure  map[string]map[string]bool // memoized closureOf
 }
 
-// LoadModule loads and type-checks the module containing root with test
-// files included (the import graph must see test-only imports for routing).
-func LoadModule(root string) (*Module, error) {
-	absRoot, modPath, err := findModuleRoot(root)
+// LoadModule loads and type-checks the module containing dir. The go tool
+// decides the module root and which packages and files belong to it, as
+// `go build ./...` and `go test ./...` would.
+func LoadModule(dir string) (*Module, error) {
+	mods, err := goList[struct{ Path, Dir string }](dir, "-m")
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := loadPackages(absRoot, modPath)
+	if len(mods) != 1 {
+		return nil, fmt.Errorf("mutate: %s is in %d modules, want 1", dir, len(mods))
+	}
+	listed, err := goList[listedPackage](mods[0].Dir, "./...")
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{Root: absRoot, Path: modPath, Pkgs: pkgs, src: map[string][]byte{}}
+	m := &Module{
+		Root: mods[0].Dir, Path: mods[0].Path, src: map[string][]byte{},
+		listed: map[string]*listedPackage{}, closure: map[string]map[string]bool{},
+	}
+	for i := range listed {
+		m.listed[listed[i].ImportPath] = &listed[i]
+	}
+	if m.Pkgs, err = loadPackages(m.listed); err != nil {
+		return nil, err
+	}
 	m.partners = resolvePartners(m.metaPackage())
 	return m, nil
 }
@@ -209,7 +220,10 @@ func (m *Module) CollectSites(targets []*Package, ops []Operator) []Site {
 	var out []Site
 	for _, p := range targets {
 		for _, op := range ops {
-			out = append(out, op.Sites(m, p)...)
+			for _, s := range op.sites(m, p) {
+				s.Op = op.Name
+				out = append(out, s)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
@@ -246,11 +260,10 @@ func (m *Module) nodeText(p *Package, n ast.Node) string {
 }
 
 // site builds a Site replacing node n with repl.
-func (m *Module) site(p *Package, op Operator, n ast.Node, repl, desc string) Site {
+func (m *Module) site(p *Package, n ast.Node, repl, desc string) Site {
 	file, start, end, pos := span(p, n)
 	return Site{
-		Op: op.Name(), Tier: op.Tier(), Pkg: p.Path,
-		File: file, Start: start, End: end,
+		Pkg: p.Path, File: file, Start: start, End: end,
 		Orig: m.nodeText(p, n), Repl: repl,
 		Pos: pos, Desc: desc,
 	}

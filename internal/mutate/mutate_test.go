@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/types"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // loadFixture loads the testdata module once per test that needs it.
@@ -95,12 +95,12 @@ func TestApplySplice(t *testing.T) {
 	}
 }
 
-// loadFiles writes a throwaway module "mod" holding the given files
+// loadFiles writes a module "throwaway" holding the given files
 // (slash-relative paths) and loads it.
 func loadFiles(t *testing.T, files map[string]string) *Module {
 	t.Helper()
 	root := t.TempDir()
-	files["go.mod"] = "module mod\n\ngo 1.22\n"
+	files["go.mod"] = "module throwaway\n\ngo 1.22\n"
 	for name, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -213,7 +213,7 @@ func F(v int) bool { return v < 1 }
 				t.Errorf("malformed = %v, want %d", ignores.Malformed, c.malformed)
 			}
 			var covered []string
-			for _, s := range m.CollectSites(targets, Operators()) {
+			for _, s := range m.CollectSites(targets, Operators) {
 				if _, ok := ignores.Covers(s); ok {
 					covered = append(covered, fmt.Sprintf("%s:%d %s", filepath.Base(s.File), s.Pos.Line, s.Op))
 				}
@@ -270,33 +270,22 @@ func TestSampleDeterministicAndPerPackage(t *testing.T) {
 		sites = append(sites, Site{Pkg: pkg})
 		pending = append(pending, i)
 	}
-	s1 := samplePerPackage(sites, append([]int{}, pending...), 5, 42)
-	s2 := samplePerPackage(sites, append([]int{}, pending...), 5, 42)
+	s1 := samplePerPackage(sites, append([]int{}, pending...), 5)
+	s2 := samplePerPackage(sites, append([]int{}, pending...), 5)
 	if len(s1) != 10 {
 		t.Fatalf("want 5 per package, got %d total", len(s1))
 	}
 	for i := range s1 {
 		if s1[i] != s2[i] {
-			t.Fatalf("same seed produced different samples: %v vs %v", s1, s2)
+			t.Fatalf("identical inputs produced different samples: %v vs %v", s1, s2)
 		}
-	}
-	s3 := samplePerPackage(sites, append([]int{}, pending...), 5, 43)
-	same := true
-	for i := range s1 {
-		if s1[i] != s3[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical samples (suspicious)")
 	}
 	// Adding sites to package b must not reshuffle package a's sample.
 	for i := 0; i < 10; i++ {
 		sites = append(sites, Site{Pkg: "b"})
 		pending = append(pending, 40+i)
 	}
-	s4 := samplePerPackage(sites, append([]int{}, pending...), 5, 42)
+	s4 := samplePerPackage(sites, append([]int{}, pending...), 5)
 	aOf := func(idx []int) []int {
 		var out []int
 		for _, i := range idx {
@@ -328,7 +317,7 @@ func TestScoreAndFloor(t *testing.T) {
 		t.Errorf("score(1,1,1) = %v, want 66.7", got)
 	}
 	rep := &Report{
-		Packages: []PackageScore{{Path: "mod/internal/x", Score: 80}},
+		Packages: []PackageScore{{Path: "throwaway/internal/x", Score: 80}},
 		Total:    PackageScore{Path: "total", Score: 80},
 	}
 	dir := t.TempDir()
@@ -350,8 +339,6 @@ func TestRunFixtureEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go test per mutant")
 	}
-	m := loadFixture(t)
-	targets := fixtureTargets(t, m)
 	ops := fixtureOps(t)
 
 	runOnce := func() (*Report, []Result) {
@@ -359,9 +346,7 @@ func TestRunFixtureEndToEnd(t *testing.T) {
 		tg := fixtureTargets(t, mm)
 		ig := ParseIgnores(mm, tg)
 		sites := mm.CollectSites(tg, ops)
-		results, err := mm.Run(context.Background(), sites, ig, RunOptions{
-			Seed: 1, Workers: 4, Timeout: time.Minute, Stderr: os.Stderr,
-		})
+		results, err := mm.Run(context.Background(), sites, ig, 0, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +354,7 @@ func TestRunFixtureEndToEnd(t *testing.T) {
 		for _, s := range sites {
 			counts[s.Pkg]++
 		}
-		return BuildReport(mm, results, counts, RunOptions{Seed: 1}), results
+		return BuildReport(mm, results, counts, 0), results
 	}
 
 	rep, results := runOnce()
@@ -385,20 +370,23 @@ func TestRunFixtureEndToEnd(t *testing.T) {
 	}
 
 	// Phase-2 routing: the Abs negate-cond mutant is invisible to mutmod's
-	// own tests and must be killed by mutmod/sub.
-	phase2 := false
+	// own tests and must be killed by mutmod/sub. The Clamp upper-bound
+	// swap is seen by no test of the module; the nested module's failing
+	// test must not count as its kill.
+	phase2, clampSurvives := false, false
 	for _, r := range results {
-		if r.Status != StatusKilled {
-			continue
+		if r.Status == StatusKilled && slices.Contains(r.KilledBy, "mutmod/sub") {
+			phase2 = true
 		}
-		for _, k := range r.KilledBy {
-			if k == "mutmod/sub" {
-				phase2 = true
-			}
+		if r.Status == StatusSurvived && r.Op == "swap-ineq" && r.Orig == ">" {
+			clampSurvives = true
 		}
 	}
 	if !phase2 {
 		t.Error("no mutant killed via phase-2 routing (mutmod/sub)")
+	}
+	if !clampSurvives {
+		t.Error("the Clamp upper-bound swap-ineq mutant did not survive")
 	}
 
 	// Determinism: a second full load+run produces a byte-identical report.
@@ -415,12 +403,11 @@ func TestRunFixtureEndToEnd(t *testing.T) {
 		t.Fatalf("reports differ across identical runs:\n%s\n---\n%s", b1, b2)
 	}
 
-	// Sanity on the candidates used: mutmod's own tests run first.
-	cand := m.candidates("mutmod")
-	if len(cand) < 2 || cand[0] != "mutmod" || cand[1] != "mutmod/sub" {
+	// mutmod's own tests run first; the nested module under mutmod is not
+	// one of its packages.
+	if cand := loadFixture(t).candidates("mutmod"); !slices.Equal(cand, []string{"mutmod", "mutmod/sub"}) {
 		t.Errorf("candidates(mutmod) = %v, want [mutmod mutmod/sub]", cand)
 	}
-	_ = targets
 }
 
 // realModule loads this repository's module once for the tests that
@@ -478,16 +465,16 @@ func TestRealModuleDomainSites(t *testing.T) {
 		}
 		targets = append(targets, p)
 	}
-	sites := m.CollectSites(targets, Operators())
+	sites := m.CollectSites(targets, Operators)
 	byOp := map[string]int{}
 	for _, s := range sites {
 		byOp[s.Op]++
 	}
 	// Every operator must bite on the real module: an operator with zero
 	// sites silently stops guarding its defect class.
-	for _, op := range Operators() {
-		if byOp[op.Name()] == 0 {
-			t.Errorf("operator %s has no sites in the target packages", op.Name())
+	for _, op := range Operators {
+		if byOp[op.Name] == 0 {
+			t.Errorf("operator %s has no sites in the target packages", op.Name)
 		}
 	}
 	// The stated partner swaps must bite on the real call sites.

@@ -14,13 +14,11 @@ import (
 )
 
 // Report is the JSON artifact of one mutation run. Everything in it is
-// deterministic for a fixed (module, seed, sample, short) tuple: canonical
-// mutant order, sorted killer lists, rounded scores, no timestamps.
+// deterministic for a fixed module and sample size: canonical mutant order,
+// sorted killer lists, rounded scores, no timestamps.
 type Report struct {
 	Tool     string         `json:"tool"`
-	Seed     uint64         `json:"seed"`
 	Sample   int            `json:"sample"`
-	Short    bool           `json:"short"`
 	Packages []PackageScore `json:"packages"`
 	Total    PackageScore   `json:"total"`
 	Mutants  []MutantRecord `json:"mutants"`
@@ -46,7 +44,6 @@ type PackageScore struct {
 type MutantRecord struct {
 	ID           int      `json:"id"`
 	Op           string   `json:"op"`
-	Tier         string   `json:"tier"`
 	Pkg          string   `json:"pkg"`
 	File         string   `json:"file"`
 	Line         int      `json:"line"`
@@ -61,9 +58,10 @@ type MutantRecord struct {
 }
 
 // BuildReport folds results (canonical order) into the report. siteCounts
-// is the full per-package site census before sampling.
-func BuildReport(m *Module, results []Result, siteCounts map[string]int, opts RunOptions) *Report {
-	rep := &Report{Tool: "mgmutate", Seed: opts.Seed, Sample: opts.Sample, Short: opts.Short}
+// is the full per-package site census before sampling; sample is the
+// per-package sample size the run used.
+func BuildReport(m *Module, results []Result, siteCounts map[string]int, sample int) *Report {
+	rep := &Report{Tool: "mgmutate", Sample: sample}
 	perPkg := map[string]*PackageScore{}
 	var order []string
 	for pkg, n := range siteCounts {
@@ -94,7 +92,7 @@ func BuildReport(m *Module, results []Result, siteCounts map[string]int, opts Ru
 			ps.Ignored++
 		}
 		rec := MutantRecord{
-			ID: r.ID, Op: r.Op, Tier: r.Tier, Pkg: r.Pkg,
+			ID: r.ID, Op: r.Op, Pkg: r.Pkg,
 			File: filepath.ToSlash(relIgnorePath(m, r.File)),
 			Line: r.Pos.Line, Col: r.Pos.Column,
 			Orig: snippet(r.Orig), Repl: snippet(r.Repl), Desc: r.Desc,

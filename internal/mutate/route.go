@@ -1,9 +1,8 @@
 package mutate
 
 import (
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Routing sends each mutant only to the test packages that can observe
@@ -11,88 +10,54 @@ import (
 // every other test-bearing package whose transitive import closure —
 // test files included — contains the mutated package, ordered by closure
 // size so the most focused suites run before the integration-shaped ones.
-
-// routes is the memoized per-module import graph.
-type routes struct {
-	imports  map[string][]string // package -> module-internal imports (tests included)
-	closure  map[string]map[string]bool
-	hasTests map[string]bool
-}
-
-// buildRoutes indexes the module's import graph once.
-func (m *Module) buildRoutes() *routes {
-	r := &routes{
-		imports:  map[string][]string{},
-		closure:  map[string]map[string]bool{},
-		hasTests: map[string]bool{},
-	}
-	for _, p := range m.Pkgs {
-		seen := map[string]bool{}
-		var imps []string
-		for _, f := range p.Files {
-			name := p.Fset.Position(f.Pos()).Filename
-			if strings.HasSuffix(name, "_test.go") {
-				r.hasTests[p.Path] = true
-			}
-			for _, imp := range f.Imports {
-				path, err := strconv.Unquote(imp.Path.Value)
-				if err != nil || !strings.HasPrefix(path, m.Path+"/") && path != m.Path {
-					continue
-				}
-				if !seen[path] {
-					seen[path] = true
-					imps = append(imps, path)
-				}
-			}
-		}
-		sort.Strings(imps)
-		r.imports[p.Path] = imps
-	}
-	return r
-}
+// The import graph is the one `go list` reported; an import that is not
+// one of the module's listed packages is outside the module.
 
 // closureOf returns the transitive module-internal import closure of a
 // package (the package itself included), memoized.
-func (r *routes) closureOf(path string) map[string]bool {
-	if c, ok := r.closure[path]; ok {
+func (m *Module) closureOf(path string) map[string]bool {
+	if c, ok := m.closure[path]; ok {
 		return c
 	}
 	c := map[string]bool{path: true}
-	r.closure[path] = c // break cycles (none expected, but cheap insurance)
-	for _, imp := range r.imports[path] {
-		for dep := range r.closureOf(imp) {
+	m.closure[path] = c // break cycles (none expected, but cheap insurance)
+	lp := m.listed[path]
+	for _, imp := range slices.Concat(lp.Imports, lp.TestImports, lp.XTestImports) {
+		if m.listed[imp] == nil {
+			continue
+		}
+		for dep := range m.closureOf(imp) {
 			c[dep] = true
 		}
 	}
 	return c
 }
 
+// hasTests reports whether `go test` of the package runs any test file.
+func (m *Module) hasTests(path string) bool {
+	lp := m.listed[path]
+	return len(lp.TestGoFiles)+len(lp.XTestGoFiles) > 0
+}
+
 // candidates returns the test packages that can kill a mutant in pkg, in
 // execution order: pkg's own tests first, then other test-bearing
 // packages importing it transitively, by (closure size, path).
 func (m *Module) candidates(pkg string) []string {
-	if m.routes == nil {
-		m.routes = m.buildRoutes()
-	}
-	r := m.routes
 	var rest []string
 	for _, p := range m.Pkgs {
-		if p.Path == pkg || !r.hasTests[p.Path] {
-			continue
-		}
-		if r.closureOf(p.Path)[pkg] {
+		if p.Path != pkg && m.hasTests(p.Path) && m.closureOf(p.Path)[pkg] {
 			rest = append(rest, p.Path)
 		}
 	}
 	sort.Slice(rest, func(i, j int) bool {
-		si, sj := len(r.closureOf(rest[i])), len(r.closureOf(rest[j]))
+		si, sj := len(m.closureOf(rest[i])), len(m.closureOf(rest[j]))
 		if si != sj {
 			return si < sj
 		}
 		return rest[i] < rest[j]
 	})
 	var out []string
-	if r.hasTests[pkg] {
+	if m.hasTests(pkg) {
 		out = append(out, pkg)
 	}
 	return append(out, rest...)

@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -50,40 +51,21 @@ type Result struct {
 	Detail string
 }
 
-// RunOptions configures a mutation run.
-type RunOptions struct {
-	// Sample caps the number of executed mutants per package (0 = all).
-	// Ignored mutants are classified before sampling so triage state never
-	// depends on the sample.
-	Sample int
-	// Seed drives the deterministic per-package sample.
-	Seed uint64
-	// Workers is the parallel mutant limit (<=0: a conservative default).
-	Workers int
-	// Timeout is the per-test-invocation deadline.
-	Timeout time.Duration
-	// Short passes -short to the routed test packages.
-	Short bool
-	// Verbose streams per-mutant progress lines to Stderr.
-	Verbose bool
-	// Stderr receives progress output (nil = discard).
-	Stderr io.Writer
-}
+const (
+	// seed drives the deterministic per-package sample.
+	seed = 1
+	// testTimeout is the per-test-invocation deadline.
+	testTimeout = 2 * time.Minute
+)
 
 // Run executes the sites against the module's tests and returns results in
-// canonical site order (the same order CollectSites produced). Cancelling
-// ctx stops the workers between mutants.
-func (m *Module) Run(ctx context.Context, sites []Site, ignores *IgnoreSet, opts RunOptions) ([]Result, error) {
-	if opts.Stderr == nil {
-		opts.Stderr = io.Discard
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 4
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 2 * time.Minute
-	}
-
+// canonical site order (the same order CollectSites produced). sample caps
+// the executed mutants per package (0 = all); ignored mutants are
+// classified before sampling, so triage state never depends on the sample.
+// Half the CPUs run mutants in parallel, each routed test run with -short,
+// and each finished mutant writes one line to progress. Cancelling ctx
+// stops the workers between mutants.
+func (m *Module) Run(ctx context.Context, sites []Site, ignores *IgnoreSet, sample int, progress io.Writer) ([]Result, error) {
 	results := make([]Result, len(sites))
 	var pending []int
 	for i, s := range sites {
@@ -95,7 +77,7 @@ func (m *Module) Run(ctx context.Context, sites []Site, ignores *IgnoreSet, opts
 		}
 		pending = append(pending, i)
 	}
-	pending = samplePerPackage(sites, pending, opts.Sample, opts.Seed)
+	pending = samplePerPackage(sites, pending, sample)
 
 	// Pre-resolve routing once per mutated package.
 	routesByPkg := map[string][]string{}
@@ -110,7 +92,7 @@ func (m *Module) Run(ctx context.Context, sites []Site, ignores *IgnoreSet, opts
 	work := make(chan int)
 	var progressMu sync.Mutex
 	done := 0
-	for w := 0; w < opts.Workers; w++ {
+	for w := 0; w < max(runtime.NumCPU()/2, 1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -118,15 +100,13 @@ func (m *Module) Run(ctx context.Context, sites []Site, ignores *IgnoreSet, opts
 				if ctx.Err() != nil {
 					return
 				}
-				res := m.runOne(ctx, sites[i], routesByPkg[sites[i].Pkg], opts)
+				res := m.runOne(ctx, sites[i], routesByPkg[sites[i].Pkg])
 				res.ID = i
 				results[i] = res
 				progressMu.Lock()
 				done++
-				if opts.Verbose {
-					fmt.Fprintf(opts.Stderr, "mgmutate: [%d/%d] %s %s %s:%d %s\n",
-						done, len(pending), res.Status, res.Op, relIgnorePath(m, res.File), res.Pos.Line, res.Orig)
-				}
+				fmt.Fprintf(progress, "mgmutate: [%d/%d] %s %s %s:%d %s\n",
+					done, len(pending), res.Status, res.Op, relIgnorePath(m, res.File), res.Pos.Line, res.Orig)
 				progressMu.Unlock()
 			}
 		}()
@@ -150,7 +130,7 @@ func (m *Module) Run(ctx context.Context, sites []Site, ignores *IgnoreSet, opts
 // samplePerPackage deterministically samples up to n pending mutants per
 // package, seeding each package's generator independently so adding sites
 // to one package never reshuffles another's sample.
-func samplePerPackage(sites []Site, pending []int, n int, seed uint64) []int {
+func samplePerPackage(sites []Site, pending []int, n int) []int {
 	if n <= 0 {
 		return pending
 	}
@@ -168,7 +148,7 @@ func samplePerPackage(sites []Site, pending []int, n int, seed uint64) []int {
 	for _, pkg := range pkgs {
 		idx := byPkg[pkg]
 		if len(idx) > n {
-			rng := newRNG(seed, pkg)
+			rng := newRNG(pkg)
 			// Partial Fisher-Yates: the first n positions become the sample.
 			for i := 0; i < n; i++ {
 				j := i + int(rng.next()%uint64(len(idx)-i))
@@ -186,8 +166,8 @@ func samplePerPackage(sites []Site, pending []int, n int, seed uint64) []int {
 // global state is a determinism hazard under test parallelism).
 type rng struct{ s uint64 }
 
-// newRNG derives a per-package stream from the run seed and package path.
-func newRNG(seed uint64, pkg string) *rng {
+// newRNG derives a per-package stream from the seed and package path.
+func newRNG(pkg string) *rng {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(pkg)) // hash.Hash.Write never fails
 	s := seed ^ h.Sum64()
@@ -210,7 +190,7 @@ var failLine = regexp.MustCompile(`(?m)^(?:---[ \t]+)?FAIL[: \t]+(\S+)`)
 // runOne applies a single mutant via a build overlay and routes it through
 // its candidate test packages: own package first, then (only if that
 // passes) every other importer in one combined invocation.
-func (m *Module) runOne(ctx context.Context, s Site, candidates []string, opts RunOptions) Result {
+func (m *Module) runOne(ctx context.Context, s Site, candidates []string) Result {
 	res := Result{Site: s}
 	mutated, err := m.Apply(s)
 	if err != nil {
@@ -252,7 +232,7 @@ func (m *Module) runOne(ctx context.Context, s Site, candidates []string, opts R
 		phases = append(phases, candidates[1:])
 	}
 	for _, pkgs := range phases {
-		status, killedBy, detail := m.goTest(ctx, overlayFile, pkgs, opts)
+		status, killedBy, detail := m.goTest(ctx, overlayFile, pkgs)
 		switch status {
 		case StatusKilled, StatusTimeout, StatusBuildFailed:
 			res.Status = status
@@ -267,15 +247,11 @@ func (m *Module) runOne(ctx context.Context, s Site, candidates []string, opts R
 
 // goTest runs one `go test -overlay` invocation over pkgs and classifies
 // the outcome.
-func (m *Module) goTest(ctx context.Context, overlayFile string, pkgs []string, opts RunOptions) (status string, killedBy []string, detail string) {
-	ctx, cancel := context.WithTimeout(ctx, opts.Timeout+30*time.Second)
+func (m *Module) goTest(ctx context.Context, overlayFile string, pkgs []string) (status string, killedBy []string, detail string) {
+	ctx, cancel := context.WithTimeout(ctx, testTimeout+30*time.Second)
 	defer cancel()
-	args := []string{"test", "-overlay", overlayFile, "-count=1", "-vet=off",
-		fmt.Sprintf("-timeout=%s", opts.Timeout)}
-	if opts.Short {
-		args = append(args, "-short")
-	}
-	args = append(args, pkgs...)
+	args := append([]string{"test", "-overlay", overlayFile, "-count=1", "-vet=off",
+		fmt.Sprintf("-timeout=%s", testTimeout), "-short"}, pkgs...)
 	cmd := exec.CommandContext(ctx, "go", args...)
 	cmd.Dir = m.Root
 	out, err := cmd.CombinedOutput()

@@ -9,7 +9,7 @@
 // every emission with one nil check, so the disabled hot path contains only
 // a dead branch (see BenchmarkProbeOff). Two implementations ship here: a
 // Collector that reduces the stream into histograms and a traffic
-// breakdown, and a bounded ring-buffer EventTrace with JSON/CSV export.
+// breakdown, and a bounded ring-buffer EventTrace with CSV export.
 // Both are single-run, single-goroutine objects — parallel sweeps attach
 // one per simulation run and aggregate afterwards.
 package probe

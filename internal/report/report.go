@@ -404,15 +404,6 @@ func Fig21(o Options) Figure {
 	}
 }
 
-// All regenerates every experiment.
-func All(o Options) []Figure {
-	return []Figure{
-		Fig04(o), Fig05(o), Fig06(o), Table02(o),
-		Fig15(o), Fig16(o), Fig17(o), Fig18(o),
-		Fig19(o), Fig20(o), Fig21(o),
-	}
-}
-
 // ByID returns one experiment by its identifier.
 func ByID(id string, o Options) (Figure, error) {
 	gen, ok := map[string]func(Options) Figure{

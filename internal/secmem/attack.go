@@ -35,7 +35,7 @@ func (m *Memory) TamperData(addr uint64) bool {
 func (m *Memory) TamperMAC(addr uint64) bool {
 	m.checkAddr(addr)
 	base, _ := m.unitOf(addr)
-	slot := m.unitMACAddr(base, m.table.Current(meta.ChunkIndex(addr)))
+	slot := m.unitMACAddr(base, m.table.Current(meta.ChunkIndex(addr))) //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
 	mac := m.macs[slot]
 	mac[0] ^= 1
 	m.macs[slot] = mac
@@ -87,7 +87,7 @@ func (m *Memory) TamperTable(chunk uint64, sp meta.StreamPart) bool {
 	if chunk >= m.geom.Chunks() {
 		panic(fmt.Sprintf("secmem: chunk %d outside region", chunk))
 	}
-	if m.table.Current(chunk) == sp && m.table.Next(chunk) == sp {
+	if m.table.Current(chunk) == sp && m.table.Next(chunk) == sp { //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
 		return false
 	}
 	m.table.SetNext(chunk, sp)
@@ -104,10 +104,11 @@ type Snapshot struct {
 	counters map[counterKey]uint64
 	macs     map[uint64]crypto.MAC
 	nodeMACs map[uint64]crypto.MAC
-	// table holds {current, next} encodings of chunks with non-default
-	// state, so replay across granularity switches restores a consistent
-	// metadata layout.
-	table map[uint64][2]meta.StreamPart
+	// table holds the encodings of chunks with non-default state, so
+	// replay across granularity switches restores a consistent metadata
+	// layout. Every table write here commits at once (ApplyDetection,
+	// TamperTable, Replay, Load), so no chunk has a pending next encoding.
+	table map[uint64]meta.StreamPart
 }
 
 // Snapshot records current off-chip memory contents.
@@ -117,13 +118,12 @@ func (m *Memory) Snapshot() *Snapshot {
 		counters: maps.Clone(m.counters),
 		macs:     maps.Clone(m.macs),
 		nodeMACs: maps.Clone(m.nodeMACs),
-		table:    map[uint64][2]meta.StreamPart{},
+		table:    map[uint64]meta.StreamPart{},
 	}
 	//mutate:ignore unit-swap the granularity table is a sparse map, so over-scanning past the region's chunk count reads only zero entries the condition below filters out; the snapshot is unchanged
 	for c := uint64(0); c < m.geom.Chunks(); c++ {
-		cur, next := m.table.Current(c), m.table.Next(c)
-		if cur != 0 || next != cur {
-			s.table[c] = [2]meta.StreamPart{cur, next}
+		if sp := m.table.Current(c); sp != 0 { //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
+			s.table[c] = sp
 		}
 	}
 	return s
@@ -149,12 +149,9 @@ func (m *Memory) Replay(s *Snapshot) {
 	m.macs = maps.Clone(s.macs)
 	m.nodeMACs = maps.Clone(s.nodeMACs)
 	m.table.Reset()
-	for c, t := range s.table {
-		m.table.SetNext(c, t[0])
+	for c, sp := range s.table {
+		m.table.SetNext(c, sp)
 		m.table.CommitAll(c)
-		if t[1] != t[0] {
-			m.table.SetNext(c, t[1])
-		}
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 	"unimem/internal/meta"
 )
 
-// Kills the drop-window mutant on unitOf (secmem.go): while a detected
-// granularity switch is pending but uncommitted, accesses must resolve
-// units through the *current* encoding — during the lazy-switch window
-// "next" describes metadata that does not exist yet, and resolving
-// through it reads counters and MAC slots that were never written.
+// Kills the drop-window mutants on unitOf and Write (secmem.go): while a
+// detected granularity switch is pending but uncommitted, reads and writes
+// must resolve units through the *current* encoding — during the
+// lazy-switch window "next" describes metadata that does not exist yet,
+// and resolving through it reads counters and MAC slots that were never
+// written.
 func TestReadDuringPendingSwitchUsesCurrentEncoding(t *testing.T) {
 	m := newMem()
 	want := block(0x5a)
@@ -27,6 +28,13 @@ func TestReadDuringPendingSwitchUsesCurrentEncoding(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("read inside the lazy-switch window returned wrong data")
+	}
+	want = block(0xa5)
+	if err := m.Write(meta.BlockSize, want); err != nil {
+		t.Fatalf("write inside the lazy-switch window: %v", err)
+	}
+	if got := mustRead(t, m, meta.BlockSize); !bytes.Equal(got, want) {
+		t.Fatal("write inside the lazy-switch window did not read back")
 	}
 	// Sanity: the window really was open for the whole read.
 	if m.table.Current(0) == m.table.Next(0) {

@@ -148,11 +148,16 @@ func TestLoadVerifiesEveryTreeLine(t *testing.T) {
 // TestLoadAcceptsPromotedWrittenBlock: promoting a written fine block
 // leaves its level-0 counter behind in a line sealed under the old parent
 // value. No read verifies that line, so Load must not reject it either.
+// Block 72 sits past the chunk's first 64 blocks, so Load must find its
+// unit by the block's index within the chunk.
 func TestLoadAcceptsPromotedWrittenBlock(t *testing.T) {
 	m := newMem()
-	mustWrite(t, m, 0, block(1))
-	if err := m.Promote(0, 0, 1); err != nil {
-		t.Fatal(err)
+	blocks := []uint64{0, 72}
+	for _, b := range blocks {
+		mustWrite(t, m, b*meta.BlockSize, block(byte(b)))
+		if err := m.Promote(0, int(b/meta.BlocksPerPartition), 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	roots, err := m.Save(&buf)
@@ -164,8 +169,10 @@ func TestLoadAcceptsPromotedWrittenBlock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load %d: %v", i, err)
 		}
-		if got := mustRead(t, m2, 0); !bytes.Equal(got, block(1)) {
-			t.Fatalf("load %d: block 0 lost", i)
+		for _, b := range blocks {
+			if got := mustRead(t, m2, b*meta.BlockSize); !bytes.Equal(got, block(byte(b))) {
+				t.Fatalf("load %d: block %d lost", i, b)
+			}
 		}
 	}
 }

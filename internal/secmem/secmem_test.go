@@ -3,6 +3,8 @@ package secmem
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"unimem/internal/meta"
@@ -101,20 +103,24 @@ func TestCounterTamperDetected(t *testing.T) {
 }
 
 func TestTamperCounterOnChipReportsImpossible(t *testing.T) {
-	// Promote the whole chunk to 32KB. In a region this small the 32KB
-	// protection level sits at or above the on-chip root array, so the
-	// counter is out of the attacker's reach and the primitive must say so
-	// instead of silently no-oping.
-	m := newMem()
+	// A one-chunk region stores two tree levels, so promoting partitions
+	// 0-7 to one 4KB unit puts its counter at level 2: the first on-chip
+	// root level. The counter is out of the attacker's reach, and the
+	// primitive must say so instead of landing a write off chip.
+	m := New(meta.ChunkSize, 42)
 	mustWrite(t, m, 0, block(1))
-	if err := m.ApplyDetection(0, meta.AllStream); err != nil {
+	if err := m.ApplyDetection(0, 0xff); err != nil {
 		t.Fatal(err)
 	}
-	if m.GranOf(0).Level() < m.geom.Levels() {
-		t.Skip("region large enough that 32KB counters are off chip")
+	if g := m.GranOf(0); g != meta.Gran4K || g.Level() != m.geom.Levels() {
+		t.Fatalf("unit %v at level %d, want Gran4K at the root level %d", g, g.Level(), m.geom.Levels())
 	}
+	before := m.Snapshot()
 	if m.TamperCounter(0) {
 		t.Fatal("TamperCounter claimed to land on an on-chip counter")
+	}
+	if !m.Snapshot().Equal(before) {
+		t.Fatal("an impossible counter tamper changed off-chip state")
 	}
 	if err := m.Check(0); err != nil {
 		t.Fatalf("no-op tamper must leave memory intact: %v", err)
@@ -362,9 +368,10 @@ func TestWriteAlignmentPanics(t *testing.T) {
 
 func TestOutOfRangePanics(t *testing.T) {
 	m := newMem()
+	mustRead(t, m, region-meta.BlockSize)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range read did not panic")
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "outside protected region") {
+			t.Fatalf("read at the region end panicked with %v, want the region check", r)
 		}
 	}()
 	_, _ = m.Read(region)
