@@ -8,6 +8,7 @@
 //	mgbench -full                    # full 250-scenario sweep (slow)
 //	mgbench -scale 0.3 -sample 50    # custom trace scale / sweep size
 //	mgbench -full -workers 8         # parallel sweep on 8 workers
+//	mgbench -cpuprofile cpu.pprof    # host CPU profile of the run
 //
 // Scenario sweeps run on the parallel sweep engine; -workers caps its
 // worker pool (0 = all CPUs) and -progress traces completed/total with an
@@ -24,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -31,7 +33,11 @@ import (
 	"unimem/internal/report"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run parses the flags, prints the selected experiments and returns the
+// exit code, so the CPU profile is stopped on every exit.
+func run() (code int) {
 	exp := flag.String("exp", "", "experiment id (default: all)")
 	scale := flag.Float64("scale", 0.12, "trace-length scale factor")
 	seed := flag.Uint64("seed", 1, "trace seed")
@@ -40,15 +46,29 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel sweep workers (0 = all CPUs)")
 	progress := flag.Bool("progress", false, "report sweep progress on stderr")
 	list := flag.Bool("list", false, "list experiment ids and exit")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	flag.Parse()
 	if !(*scale > 0) { // NaN fails too
 		fmt.Fprintf(os.Stderr, "-scale must be positive, got %v\n", *scale)
-		os.Exit(2)
+		return 2
+	}
+	if *cpuprofile != "" {
+		stop, err := startCPUProfile(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				code = max(code, 1)
+			}
+		}()
 	}
 
 	if *list {
 		fmt.Println(strings.Join(report.IDs(), "\n"))
-		return
+		return 0
 	}
 	o := report.Options{Scale: *scale, Seed: *seed, SampleN: *sample, Workers: *workers}
 	if *full {
@@ -64,21 +84,34 @@ func main() {
 		}
 	}
 
+	ids := report.IDs()
 	if *exp != "" {
-		f, err := report.ByID(*exp, o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Println(f)
-		return
+		ids = []string{*exp}
 	}
-	for _, id := range report.IDs() {
+	for _, id := range ids {
 		f, err := report.ByID(id, o)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		fmt.Println(f)
 	}
+	return 0
+}
+
+// startCPUProfile starts a CPU profile written to path and returns the
+// function that stops it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }

@@ -12,6 +12,7 @@
 //	mgsim -attack replay -scheme Ours             # one adversarial campaign
 //	mgsim -attack all -scheme "MAC-only"          # every attack class
 //	mgsim -attack matrix                          # scheme x class expectations
+//	mgsim -scenario cc1 -cpuprofile cpu.pprof     # host CPU profile of the run
 //	mgsim -list
 package main
 
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 
 	"unimem/internal/attack"
 	"unimem/internal/core"
@@ -35,7 +37,7 @@ func main() {
 
 // run is the testable body of the command: it parses args, simulates, and
 // writes the report to stdout (errors to stderr), returning the exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("mgsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scenarioID := fs.String("scenario", "", "selected scenario id (ff1..cc3)")
@@ -51,12 +53,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	attackArg := fs.String("attack", "", `run adversarial campaigns instead of a simulation: an attack class, "all", or "matrix"`)
 	attackSeed := fs.Uint64("attack-seed", 1, "campaign schedule seed for -attack")
 	list := fs.Bool("list", false, "list scenarios and schemes, then exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if !(*scale > 0) { // NaN fails too
 		fmt.Fprintf(stderr, "-scale must be positive, got %v\n", *scale)
 		return 2
+	}
+	if *cpuprofile != "" {
+		stop, err := startCPUProfile(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintln(stderr, err)
+				code = max(code, 1)
+			}
+		}()
 	}
 
 	if *list {
@@ -234,6 +250,23 @@ func printBreakdown(w io.Writer, s *probe.Summary) {
 	fmt.Fprint(w, tt)
 	fmt.Fprintf(w, "overfetch beats: %d, MAC lookups/merges: %d/%d\n",
 		s.OverfetchBeats, s.MACFetches, s.MACMerges)
+}
+
+// startCPUProfile starts a CPU profile written to path and returns the
+// function that stops it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // pctOf returns 100*a/b guarding the idle case.

@@ -142,3 +142,25 @@ func TestUnknownWorkload(t *testing.T) {
 		t.Errorf("stderr = %q, want %q", errs, want)
 	}
 }
+
+// TestCPUProfile: -cpuprofile leaves a gzipped pprof profile of the run,
+// and a path that cannot be created is a usage error.
+func TestCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if _, errs, code := runCmd(t, "-scenario", "ff1", "-scale", "0.05", "-cpuprofile", path); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errs)
+	}
+	prof, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prof) < 2 || prof[0] != 0x1f || prof[1] != 0x8b {
+		t.Fatalf("profile is not a gzip stream (%d bytes)", len(prof))
+	}
+
+	bad := filepath.Join(t.TempDir(), "missing", "cpu.pprof")
+	out, errs, code := runCmd(t, "-scenario", "ff1", "-scale", "0.05", "-cpuprofile", bad)
+	if code != 2 || out != "" || errs == "" {
+		t.Fatalf("unwritable profile path: exit %d, stdout %q, stderr %q; want exit 2 and a diagnostic only", code, out, errs)
+	}
+}

@@ -96,7 +96,7 @@ func (v *fullVictim) Switch(chunk uint64, sp meta.StreamPart, hook func()) (bool
 	return fired, v.mem.ApplyDetection(chunk, sp)
 }
 
-func (v *fullVictim) CurrentSP(chunk uint64) meta.StreamPart { return v.mem.Table().Current(chunk) }
+func (v *fullVictim) CurrentSP(chunk uint64) meta.StreamPart { return v.mem.Encoding(chunk) }
 
 func (v *fullVictim) TamperData(addr uint64) bool    { return v.mem.TamperData(addr) }
 func (v *fullVictim) TamperMAC(addr uint64) bool     { return v.mem.TamperMAC(addr) }
@@ -160,7 +160,7 @@ const macCtr = 0
 
 func (v *macOnlyVictim) Write(addr uint64, data []byte) error {
 	var ct [meta.BlockSize]byte
-	copy(ct[:], v.eng.Seal(addr, macCtr, data))
+	v.eng.Seal(ct[:], addr, macCtr, data)
 	v.data[addr] = ct
 	v.macs[addr] = v.eng.BlockMAC(addr, macCtr, ct[:])
 	return nil

@@ -21,7 +21,9 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
+	"hash"
 )
 
 // BlockSize is the protected block granularity in bytes.
@@ -33,10 +35,24 @@ const MACSize = 8
 // MAC is a truncated keyed hash.
 type MAC [MACSize]byte
 
-// Engine holds the secret keys of one memory-protection engine instance.
+// hdrSize is the header of a block or node MAC: an address word and a
+// counter word.
+const hdrSize = 16
+
+// Engine holds the secret keys of one memory-protection engine instance,
+// as a keyed AES cipher and one keyed HMAC-SHA-256 state, and the scratch
+// its primitives hash and encrypt through. Each MAC resets the keyed state,
+// which restores the precomputed ipad/opad compressions (FIPS 198-1 §6)
+// instead of rekeying. An Engine is not safe for concurrent use: each
+// protected memory owns one.
 type Engine struct {
-	block  cipher.Block
-	macKey [32]byte
+	block cipher.Block
+	mac   hash.Hash
+
+	sum [sha256.Size]byte
+	msg [hdrSize + 8*8]byte // a header and a line's counter words, or an (acc, m) pair
+	in  [16]byte            // AES input of one pad block
+	pad [BlockSize]byte
 }
 
 // NewEngine derives an engine from a seed. Production hardware fuses a
@@ -51,10 +67,8 @@ func NewEngine(seed uint64) *Engine {
 		// aes.NewCipher only fails on bad key length; 16 is always valid.
 		panic(err)
 	}
-	e := &Engine{block: b}
-	h := sha256.Sum256(aesKey[:])
-	e.macKey = h
-	return e
+	macKey := sha256.Sum256(aesKey[:])
+	return &Engine{block: b, mac: hmac.New(sha256.New, macKey[:])}
 }
 
 // OTP returns the 64-byte one-time pad for (addr, counter). Uniqueness of
@@ -62,52 +76,48 @@ func NewEngine(seed uint64) *Engine {
 // (the counter-management layer) is responsible for never reusing a counter
 // value for the same address.
 func (e *Engine) OTP(addr uint64, counter uint64) [BlockSize]byte {
-	var pad [BlockSize]byte
-	var in [16]byte
-	binary.LittleEndian.PutUint64(in[0:], addr)
+	e.fillPad(addr, counter)
+	return e.pad
+}
+
+// fillPad computes the one-time pad for (addr, counter) into e.pad.
+func (e *Engine) fillPad(addr, counter uint64) {
+	binary.LittleEndian.PutUint64(e.in[0:], addr)
 	for i := 0; i < BlockSize/16; i++ {
-		binary.LittleEndian.PutUint64(in[8:], counter<<2|uint64(i))
-		e.block.Encrypt(pad[i*16:(i+1)*16], in[:])
+		binary.LittleEndian.PutUint64(e.in[8:], counter<<2|uint64(i))
+		e.block.Encrypt(e.pad[i*16:(i+1)*16], e.in[:])
 	}
-	return pad
 }
 
-// Seal encrypts a 64B plaintext block in place semantics: it returns the
-// ciphertext for (addr, counter).
-func (e *Engine) Seal(addr, counter uint64, plaintext []byte) []byte {
-	return e.xorPad(addr, counter, plaintext)
+// Seal encrypts the 64B plaintext block src for (addr, counter) into the
+// 64B dst; dst may be src.
+func (e *Engine) Seal(dst []byte, addr, counter uint64, src []byte) {
+	e.xorPad(dst, addr, counter, src)
 }
 
-// Open decrypts a 64B ciphertext block for (addr, counter).
-func (e *Engine) Open(addr, counter uint64, ciphertext []byte) []byte {
-	return e.xorPad(addr, counter, ciphertext)
+// Open decrypts the 64B ciphertext block src for (addr, counter) into the
+// 64B dst; dst may be src.
+func (e *Engine) Open(dst []byte, addr, counter uint64, src []byte) {
+	e.xorPad(dst, addr, counter, src)
 }
 
-func (e *Engine) xorPad(addr, counter uint64, in []byte) []byte {
-	if len(in) != BlockSize {
+func (e *Engine) xorPad(dst []byte, addr, counter uint64, src []byte) {
+	if len(dst) != BlockSize || len(src) != BlockSize {
 		panic("crypto: block must be 64 bytes")
 	}
-	pad := e.OTP(addr, counter)
-	out := make([]byte, BlockSize)
-	for i := range out {
-		out[i] = in[i] ^ pad[i]
-	}
-	return out
+	e.fillPad(addr, counter)
+	subtle.XORBytes(dst, src, e.pad[:])
 }
 
 // BlockMAC computes the fine-grained MAC over (addr, counter, ciphertext).
 // Binding the address prevents splicing; binding the counter prevents
 // replay of a (ciphertext, MAC) pair from an earlier version.
 func (e *Engine) BlockMAC(addr, counter uint64, ciphertext []byte) MAC {
-	h := hmac.New(sha256.New, e.macKey[:])
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], addr)
-	binary.LittleEndian.PutUint64(hdr[8:], counter)
-	h.Write(hdr[:])
-	h.Write(ciphertext)
-	var m MAC
-	copy(m[:], h.Sum(nil))
-	return m
+	e.mac.Reset()
+	e.putHeader(addr, counter)
+	e.mac.Write(e.msg[:hdrSize])
+	e.mac.Write(ciphertext)
+	return e.sumMAC()
 }
 
 // NestedMAC folds fine-grained MACs into one coarse MAC by chained hashing
@@ -116,40 +126,52 @@ func (e *Engine) NestedMAC(fine []MAC) MAC {
 	if len(fine) == 0 {
 		panic("crypto: NestedMAC of zero MACs")
 	}
-	acc := e.hashMAC(fine[0][:], nil)
+	pair := e.msg[:2*MACSize]
+	copy(pair, fine[0][:])
+	acc := e.hashMAC(pair[:MACSize])
 	for _, m := range fine[1:] {
-		acc = e.hashMAC(acc[:], m[:])
+		copy(pair, acc[:])
+		copy(pair[MACSize:], m[:])
+		acc = e.hashMAC(pair)
 	}
 	return acc
 }
 
-func (e *Engine) hashMAC(a, b []byte) MAC {
-	h := hmac.New(sha256.New, e.macKey[:])
-	h.Write(a)
-	if b != nil {
-		h.Write(b)
-	}
-	var m MAC
-	copy(m[:], h.Sum(nil))
-	return m
+func (e *Engine) hashMAC(msg []byte) MAC {
+	e.mac.Reset()
+	e.mac.Write(msg)
+	return e.sumMAC()
 }
 
 // NodeMAC authenticates an integrity-tree node: the hash of a counter-line
 // payload keyed by the parent counter that versions it. Used by the
 // functional tree to chain each level to its parent up to the on-chip root.
 func (e *Engine) NodeMAC(nodeAddr uint64, parentCounter uint64, counters []uint64) MAC {
-	h := hmac.New(sha256.New, e.macKey[:])
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], nodeAddr)
-	binary.LittleEndian.PutUint64(hdr[8:], parentCounter)
-	h.Write(hdr[:])
-	var buf [8]byte
+	e.mac.Reset()
+	e.putHeader(nodeAddr, parentCounter)
+	n := hdrSize
 	for _, c := range counters {
-		binary.LittleEndian.PutUint64(buf[:], c)
-		h.Write(buf[:])
+		if n == len(e.msg) {
+			e.mac.Write(e.msg[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(e.msg[n:], c)
+		n += 8
 	}
+	e.mac.Write(e.msg[:n])
+	return e.sumMAC()
+}
+
+// putHeader writes a MAC header into the message scratch.
+func (e *Engine) putHeader(addr, counter uint64) {
+	binary.LittleEndian.PutUint64(e.msg[0:], addr)
+	binary.LittleEndian.PutUint64(e.msg[8:], counter)
+}
+
+// sumMAC finishes the keyed hash and truncates it to a MAC.
+func (e *Engine) sumMAC() MAC {
 	var m MAC
-	copy(m[:], h.Sum(nil))
+	copy(m[:], e.mac.Sum(e.sum[:0]))
 	return m
 }
 

@@ -35,7 +35,7 @@ func (m *Memory) TamperData(addr uint64) bool {
 func (m *Memory) TamperMAC(addr uint64) bool {
 	m.checkAddr(addr)
 	base, _ := m.unitOf(addr)
-	slot := m.unitMACAddr(base, m.table.Current(meta.ChunkIndex(addr))) //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
+	slot := m.unitMACAddr(base, m.table[meta.ChunkIndex(addr)])
 	mac := m.macs[slot]
 	mac[0] ^= 1
 	m.macs[slot] = mac
@@ -87,11 +87,10 @@ func (m *Memory) TamperTable(chunk uint64, sp meta.StreamPart) bool {
 	if chunk >= m.geom.Chunks() {
 		panic(fmt.Sprintf("secmem: chunk %d outside region", chunk))
 	}
-	if m.table.Current(chunk) == sp && m.table.Next(chunk) == sp { //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
+	if m.table[chunk] == sp {
 		return false
 	}
-	m.table.SetNext(chunk, sp)
-	m.table.CommitAll(chunk)
+	m.setEncoding(chunk, sp)
 	return true
 }
 
@@ -106,27 +105,19 @@ type Snapshot struct {
 	nodeMACs map[uint64]crypto.MAC
 	// table holds the encodings of chunks with non-default state, so
 	// replay across granularity switches restores a consistent metadata
-	// layout. Every table write here commits at once (ApplyDetection,
-	// TamperTable, Replay, Load), so no chunk has a pending next encoding.
+	// layout.
 	table map[uint64]meta.StreamPart
 }
 
 // Snapshot records current off-chip memory contents.
 func (m *Memory) Snapshot() *Snapshot {
-	s := &Snapshot{
+	return &Snapshot{
 		data:     maps.Clone(m.data),
 		counters: maps.Clone(m.counters),
 		macs:     maps.Clone(m.macs),
 		nodeMACs: maps.Clone(m.nodeMACs),
-		table:    map[uint64]meta.StreamPart{},
+		table:    maps.Clone(m.table),
 	}
-	//mutate:ignore unit-swap the granularity table is a sparse map, so over-scanning past the region's chunk count reads only zero entries the condition below filters out; the snapshot is unchanged
-	for c := uint64(0); c < m.geom.Chunks(); c++ {
-		if sp := m.table.Current(c); sp != 0 { //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
-			s.table[c] = sp
-		}
-	}
-	return s
 }
 
 // Equal reports whether two snapshots capture identical off-chip state —
@@ -148,11 +139,7 @@ func (m *Memory) Replay(s *Snapshot) {
 	m.counters = maps.Clone(s.counters)
 	m.macs = maps.Clone(s.macs)
 	m.nodeMACs = maps.Clone(s.nodeMACs)
-	m.table.Reset()
-	for c, sp := range s.table {
-		m.table.SetNext(c, sp)
-		m.table.CommitAll(c)
-	}
+	m.table = maps.Clone(s.table)
 }
 
 // RollbackCounters restores only the freshness state — counters and

@@ -84,7 +84,7 @@ func FuzzAttackCheck(f *testing.F) {
 					continue
 				}
 				p := int(meta.BlockIndex(addr)%meta.BlocksPerChunk) / (meta.BlocksPerChunk / meta.PartsPerChunk)
-				cur := v.Table().Current(chunk)
+				cur := v.Encoding(chunk)
 				sp := cur.PromoteMask(p, 1)
 				if cur.IsStream(p) {
 					sp = cur.DemoteMask(p, 1)
@@ -106,7 +106,7 @@ func FuzzAttackCheck(f *testing.F) {
 		var sweepErr error
 	sweep:
 		for chunk := uint64(0); chunk < 2; chunk++ {
-			sp := v.Table().Current(chunk)
+			sp := v.Encoding(chunk)
 			for b := 0; b < meta.BlocksPerChunk; {
 				u := sp.UnitOf(b)
 				addr := chunk*meta.ChunkSize + uint64(u.Block)*meta.BlockSize

@@ -79,20 +79,10 @@ func (m *Memory) Save(w io.Writer) (roots []uint64, err error) {
 	}
 	putMACs(m.macs)
 	putMACs(m.nodeMACs)
-	// Granularity table: per non-default chunk, its current encoding.
-	type chunkSP struct {
-		chunk uint64
-		sp    meta.StreamPart
-	}
-	var chunks []chunkSP
-	for c := uint64(0); c < m.geom.Chunks(); c++ {
-		if sp := m.table.Current(c); sp != 0 { //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
-			chunks = append(chunks, chunkSP{c, sp})
-		}
-	}
-	put(uint64(len(chunks)))
-	for _, c := range chunks {
-		put(c.chunk, uint64(c.sp))
+	// Granularity table: per non-default chunk, its encoding.
+	put(uint64(len(m.table)))
+	for _, c := range sortedKeys(m.table) {
+		put(c, uint64(m.table[c]))
 	}
 	put(0) // major-epoch section count
 	if err != nil {
@@ -177,6 +167,9 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 		if err != nil {
 			return nil, err
 		}
+		if addr >= m.geom.RegionBytes || addr%meta.BlockSize != 0 {
+			return nil, fmt.Errorf("%w: data block %#x outside the region or not 64B aligned", ErrImageFormat, addr)
+		}
 		var ct [meta.BlockSize]byte
 		if _, err := io.ReadFull(br, ct[:]); err != nil {
 			return nil, err
@@ -231,8 +224,10 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("%w: truncated granularity table", ErrImageFormat)
 		}
-		m.table.SetNext(chunk, meta.StreamPart(sp))
-		m.table.CommitAll(chunk)
+		if chunk >= m.geom.Chunks() {
+			return nil, fmt.Errorf("%w: granularity entry for chunk %d outside the %d-chunk region", ErrImageFormat, chunk, m.geom.Chunks())
+		}
+		m.setEncoding(chunk, meta.StreamPart(sp))
 	}
 	if n, err = read(); err != nil {
 		return nil, err
@@ -258,7 +253,7 @@ func (m *Memory) verifyImage() error {
 	lines := map[counterKey]bool{} // entry holds the line index
 	for k := range m.counters {
 		blockIdx := k.entry << (3 * uint(k.level))
-		sp := m.table.Current(blockIdx / meta.BlocksPerChunk) //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
+		sp := m.table[blockIdx/meta.BlocksPerChunk]
 		if sp.GranOfBlock(int(blockIdx%meta.BlocksPerChunk)).Level() != k.level {
 			continue
 		}

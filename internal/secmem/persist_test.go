@@ -187,12 +187,45 @@ func TestLoadRejectsCounterOutsideTree(t *testing.T) {
 		m := newMem()
 		mustWrite(t, m, 0, block(1))
 		m.counters[k] = 0 // a zero entry passes every pristine line up to the roots
-		var buf bytes.Buffer
-		roots, err := m.Save(&buf)
-		if err != nil {
-			t.Fatal(err)
+		if err := saveLoad(t, m); !errors.Is(err, ErrImageFormat) {
+			t.Errorf("%s: err = %v, want ErrImageFormat", name, err)
 		}
-		if _, err := Load(&buf, 42, roots); !errors.Is(err, ErrImageFormat) {
+	}
+}
+
+// saveLoad saves m and loads the image back under the same key.
+func saveLoad(t *testing.T, m *Memory) error {
+	t.Helper()
+	var buf bytes.Buffer
+	roots, err := m.Save(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(&buf, 42, roots)
+	return err
+}
+
+// TestLoadRejectsTableEntryOutsideRegion: a granularity entry names a
+// chunk the region does not have.
+func TestLoadRejectsTableEntryOutsideRegion(t *testing.T) {
+	for name, chunk := range map[string]uint64{"first chunk past the end": region / meta.ChunkSize, "chunk 2^40": 1 << 40} {
+		m := newMem()
+		mustWrite(t, m, 0, block(1))
+		m.table[chunk] = meta.AllStream
+		if err := saveLoad(t, m); !errors.Is(err, ErrImageFormat) {
+			t.Errorf("%s: err = %v, want ErrImageFormat", name, err)
+		}
+	}
+}
+
+// TestLoadRejectsDataBlockOutsideRegion: a stored block lies past the
+// region's end or off a 64B boundary.
+func TestLoadRejectsDataBlockOutsideRegion(t *testing.T) {
+	for name, addr := range map[string]uint64{"first block past the end": region, "1GB": 1 << 30, "misaligned": 0x1020} {
+		m := newMem()
+		mustWrite(t, m, 0, block(1))
+		m.data[addr] = [meta.BlockSize]byte{1}
+		if err := saveLoad(t, m); !errors.Is(err, ErrImageFormat) {
 			t.Errorf("%s: err = %v, want ErrImageFormat", name, err)
 		}
 	}

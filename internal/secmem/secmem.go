@@ -35,9 +35,12 @@ type counterKey struct {
 
 // Memory is one protected memory image.
 type Memory struct {
-	geom  *meta.Geometry
-	eng   *crypto.Engine
-	table *meta.Table
+	geom *meta.Geometry
+	eng  *crypto.Engine
+	// table is the granularity table (paper section 4.4): each chunk's
+	// encoding. Every write commits at once, so there is no pending next
+	// encoding, and fine (zero) chunks are absent.
+	table map[uint64]meta.StreamPart
 
 	data     map[uint64][meta.BlockSize]byte // ciphertext by block address
 	counters map[counterKey]uint64
@@ -80,27 +83,36 @@ func New(regionBytes uint64, seed uint64) *Memory {
 	return &Memory{
 		geom:     g,
 		eng:      crypto.NewEngine(seed),
-		table:    meta.NewTable(),
+		table:    map[uint64]meta.StreamPart{},
 		data:     map[uint64][meta.BlockSize]byte{},
 		counters: map[counterKey]uint64{},
 		macs:     map[uint64]crypto.MAC{},
 		nodeMACs: map[uint64]crypto.MAC{},
 		roots:    make([]uint64, g.RootEntries()),
-		stg:      new(staging),
+		stg:      &staging{lines: make([]uint64, g.Levels())},
 	}
 }
 
 // Geometry exposes the metadata layout.
 func (m *Memory) Geometry() *meta.Geometry { return m.geom }
 
-// Table exposes the granularity table (read-mostly; use ApplyDetection to
-// change granularity).
-func (m *Memory) Table() *meta.Table { return m.table }
+// Encoding returns the chunk's granularity encoding (zero for a fine
+// chunk). Use ApplyDetection to change it.
+func (m *Memory) Encoding(chunk uint64) meta.StreamPart { return m.table[chunk] }
+
+// setEncoding commits sp as the chunk's encoding.
+func (m *Memory) setEncoding(chunk uint64, sp meta.StreamPart) {
+	if sp == 0 {
+		delete(m.table, chunk)
+		return
+	}
+	m.table[chunk] = sp
+}
 
 // GranOf returns the current protection granularity covering addr.
 func (m *Memory) GranOf(addr uint64) meta.Gran {
 	m.checkAddr(addr)
-	return m.table.Current(meta.ChunkIndex(addr)).GranOfBlock(meta.BlockInChunk(addr)) //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
+	return m.table[meta.ChunkIndex(addr)].GranOfBlock(meta.BlockInChunk(addr))
 }
 
 func (m *Memory) checkAddr(addr uint64) {
@@ -134,8 +146,7 @@ func (m *Memory) writeCounter(level int, entry uint64, val uint64) {
 	m.sealLine(level, line, parentVal)
 }
 
-func (m *Memory) lineEntries(level int, line uint64) []uint64 {
-	out := make([]uint64, meta.Arity)
+func (m *Memory) lineEntries(level int, line uint64) (out [meta.Arity]uint64) {
 	for i := range out {
 		out[i] = m.readCounter(level, line*meta.Arity+uint64(i))
 	}
@@ -151,7 +162,8 @@ func (m *Memory) lineAddr(level int, line uint64) uint64 {
 
 func (m *Memory) sealLine(level int, line uint64, parentVal uint64) {
 	addr := m.lineAddr(level, line)
-	m.nodeMACs[addr] = m.eng.NodeMAC(addr, parentVal, m.lineEntries(level, line))
+	entries := m.lineEntries(level, line)
+	m.nodeMACs[addr] = m.eng.NodeMAC(addr, parentVal, entries[:])
 }
 
 // verifyChain checks the tree from the counter line at startLevel covering
@@ -179,8 +191,8 @@ func (m *Memory) verifyLine(level int, line uint64) error {
 		return fmt.Errorf("%w: missing node MAC at level %d", ErrTree, level)
 	}
 	m.Stats.Verified++
-	want := m.eng.NodeMAC(addr, parentVal, m.lineEntries(level, line))
-	if !crypto.Equal(stored, want) {
+	entries := m.lineEntries(level, line)
+	if !crypto.Equal(stored, m.eng.NodeMAC(addr, parentVal, entries[:])) {
 		return fmt.Errorf("%w: level %d line %#x", ErrTree, level, addr)
 	}
 	return nil
@@ -200,8 +212,7 @@ func (m *Memory) lineZero(level int, line uint64) bool {
 // unitOf resolves the protection unit covering addr under the current
 // granularity encoding.
 func (m *Memory) unitOf(addr uint64) (base uint64, gran meta.Gran) {
-	sp := m.table.Current(meta.ChunkIndex(addr))
-	u := sp.UnitOf(meta.BlockInChunk(addr))
+	u := m.table[meta.ChunkIndex(addr)].UnitOf(meta.BlockInChunk(addr))
 	return meta.ChunkBase(addr) + uint64(u.Block)*meta.BlockSize, u.Gran
 }
 
@@ -233,7 +244,11 @@ type staging struct {
 	has   [meta.BlocksPerChunk]bool                 // block holds staged plaintext
 	ctr   [meta.BlocksPerChunk]uint64               // staged unit counter, by the unit's first block
 	fines [meta.BlocksPerChunk]crypto.MAC           // per-block MACs of the fold
+	lines []uint64                                  // per tree level, the last line this stage call verified
 }
+
+// noLine marks a level of staging.lines with no line verified yet.
+const noLine = ^uint64(0)
 
 // zeroFill stages every block of unit u that holds no plaintext as zeros,
 // so seal materializes the whole unit.
@@ -292,12 +307,29 @@ func (m *Memory) verifyUnit(base uint64, gran meta.Gran, sp meta.StreamPart, ctr
 // sp — and decrypts their stored blocks into the staging buffer, recording
 // each unit's counter. It mutates nothing, so an operation that fails here
 // leaves the image exactly as it was.
+//
+// Sibling units share their ancestors, so a unit's chain stops at the
+// first line this call already verified: that line's ancestors were
+// verified along with it. Only the last line per level is remembered,
+// which for units in address order (as StreamPart.Units yields them) is
+// every line once; any other order can only verify more. Nothing verified
+// outlives the call, so tamper placed between operations is still caught.
 func (m *Memory) stage(chunk uint64, sp meta.StreamPart, units ...meta.Unit) error {
 	chunkBase := chunk * meta.ChunkSize
+	for i := range m.stg.lines {
+		m.stg.lines[i] = noLine
+	}
 	for _, u := range units {
 		base := chunkBase + uint64(u.Block)*meta.BlockSize
-		if err := m.verifyChain(u.Gran.Level(), meta.BlockIndex(base)); err != nil {
-			return err
+		for level := u.Gran.Level(); level < m.geom.Levels(); level++ {
+			line := m.geom.CounterEntryIndex(level, meta.BlockIndex(base)) / meta.Arity
+			if m.stg.lines[level] == line {
+				break
+			}
+			if err := m.verifyLine(level, line); err != nil {
+				return err
+			}
+			m.stg.lines[level] = line
 		}
 		ctr := m.unitCounter(base, u.Gran)
 		if err := m.verifyUnit(base, u.Gran, sp, ctr); err != nil {
@@ -307,7 +339,7 @@ func (m *Memory) stage(chunk uint64, sp meta.StreamPart, units ...meta.Unit) err
 		for b := u.Block; b < u.Block+u.Blocks(); b++ {
 			if m.stg.has[b] {
 				a := chunkBase + uint64(b)*meta.BlockSize
-				copy(m.stg.plain[b][:], m.eng.Open(a, ctr, m.stg.ct[b][:]))
+				m.eng.Open(m.stg.plain[b][:], a, ctr, m.stg.ct[b][:])
 			}
 		}
 	}
@@ -327,11 +359,10 @@ func (m *Memory) seal(base uint64, gran meta.Gran, ctr uint64) {
 			continue
 		}
 		a := base + uint64(i)*meta.BlockSize
-		copy(m.stg.ct[b][:], m.eng.Seal(a, ctr, m.stg.plain[b][:]))
+		m.eng.Seal(m.stg.ct[b][:], a, ctr, m.stg.plain[b][:])
 		m.data[a] = m.stg.ct[b]
 	}
-	sp := m.table.Current(meta.ChunkIndex(base))
-	m.macs[m.unitMACAddr(base, sp)] = m.foldMAC(base, gran, ctr)
+	m.macs[m.unitMACAddr(base, m.table[meta.ChunkIndex(base)])] = m.foldMAC(base, gran, ctr)
 }
 
 // --- public data path -----------------------------------------------------
@@ -347,7 +378,7 @@ func (m *Memory) Write(addr uint64, plaintext []byte) error {
 	}
 	m.Stats.Writes++
 	chunk := meta.ChunkIndex(addr)
-	sp := m.table.Current(chunk)
+	sp := m.table[chunk]
 	u := sp.UnitOf(meta.BlockInChunk(addr))
 	// Verify before read-modify-write of sibling blocks: resealing
 	// unverified data would turn a write into a tamper-laundering primitive.
@@ -382,14 +413,14 @@ func (m *Memory) Read(addr uint64) ([]byte, error) {
 		return nil, err
 	}
 	ctr := m.unitCounter(base, gran)
-	if err := m.verifyUnit(base, gran, m.table.Current(meta.ChunkIndex(base)), ctr); err != nil {
+	if err := m.verifyUnit(base, gran, m.table[meta.ChunkIndex(base)], ctr); err != nil {
 		return nil, err
 	}
-	b := meta.BlockInChunk(addr)
-	if !m.stg.has[b] {
-		// Verified unit with no stored ciphertext for this block: pristine
-		// (or a zero-ciphertext member the MAC covers) reads as zero.
-		return make([]byte, meta.BlockSize), nil
+	out := make([]byte, meta.BlockSize)
+	// A verified unit with no stored ciphertext for this block (pristine,
+	// or a zero-ciphertext member the MAC covers) reads as zero.
+	if b := meta.BlockInChunk(addr); m.stg.has[b] {
+		m.eng.Open(out, addr, ctr, m.stg.ct[b][:])
 	}
-	return m.eng.Open(addr, ctr, m.stg.ct[b][:]), nil
+	return out, nil
 }

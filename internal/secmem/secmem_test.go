@@ -455,3 +455,100 @@ func TestSnapshotReplayRoundTrip(t *testing.T) {
 		t.Fatalf("stale replay across a switched chunk verified (err=%v), want ErrTree", err)
 	}
 }
+
+// writeChunk writes every block of chunk 0, leaving it fine-grained.
+func writeChunk(t *testing.T, m *Memory) {
+	t.Helper()
+	for b := uint64(0); b < meta.BlocksPerChunk; b++ {
+		mustWrite(t, m, b*meta.BlockSize, block(byte(b)))
+	}
+}
+
+// TestPromotionVerifiesEachLineOnce: promoting a fully written fine chunk
+// of a 1MB image to one 32KB unit stages 512 units whose chains share
+// every ancestor. stage verifies each distinct line once: 64 + 8 + 1 + 1
+// over the four stored levels.
+func TestPromotionVerifiesEachLineOnce(t *testing.T) {
+	m := newMem()
+	writeChunk(t, m)
+	before := m.Stats.Verified
+	if err := m.ApplyDetection(0, meta.AllStream); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Stats.Verified - before; got != 74 {
+		t.Fatalf("promotion verified %d tree lines, want the chunk's 74 distinct lines", got)
+	}
+	if sp := m.Encoding(0); sp != meta.AllStream {
+		t.Fatalf("encoding after promotion = %#x, want all-stream", uint64(sp))
+	}
+	last := uint64(meta.BlocksPerChunk - 1)
+	if got := mustRead(t, m, last*meta.BlockSize); !bytes.Equal(got, block(byte(last))) {
+		t.Fatal("promotion lost the chunk's last block")
+	}
+}
+
+// TestStageVerifiesEveryDistinctLine: a unit whose chain reaches a line
+// already verified at the same level stops there, but a unit on a new line
+// at a level verifies it. The tampered counter of the chunk's last block
+// sits in a level-0 line no other unit of the chunk reaches, below
+// ancestors every other unit already verified; skipping by level alone
+// would accept it.
+func TestStageVerifiesEveryDistinctLine(t *testing.T) {
+	m := newMem()
+	writeChunk(t, m)
+	if !m.TamperCounter(meta.ChunkSize - meta.BlockSize) {
+		t.Fatal("fine counter should be off chip")
+	}
+	pre := m.Snapshot()
+	if err := m.Promote(0, 0, meta.PartsPerChunk); !errors.Is(err, ErrTree) {
+		t.Fatalf("Promote over a tampered counter: err = %v, want ErrTree", err)
+	}
+	if !m.Snapshot().Equal(pre) {
+		t.Error("failed promotion changed the off-chip image")
+	}
+}
+
+// TestStageForgetsVerifiedLinesBetweenCalls: lines verified by one
+// operation are verified again by the next, so tamper placed between
+// operations is caught before a rewrite reseals the line. Block 1's
+// counter shares block 0's level-0 line, which the first write verified.
+func TestStageForgetsVerifiedLinesBetweenCalls(t *testing.T) {
+	m := newMem()
+	mustWrite(t, m, 0, block(1))
+	mustWrite(t, m, meta.BlockSize, block(2))
+	mustWrite(t, m, 0, block(3))
+	m.TamperCounter(meta.BlockSize)
+	pre := m.Snapshot()
+	if err := m.Write(0, block(4)); !errors.Is(err, ErrTree) {
+		t.Fatalf("write beside a tampered sibling counter: err = %v, want ErrTree", err)
+	}
+	if !m.Snapshot().Equal(pre) {
+		t.Error("failed write changed the off-chip image")
+	}
+}
+
+// TestPromotedUnitSteadyStateAllocs pins the functional hot path: once a
+// 32KB unit's metadata exists, a Write allocates nothing and a Read only
+// the block it returns.
+func TestPromotedUnitSteadyStateAllocs(t *testing.T) {
+	m := newMem()
+	writeChunk(t, m)
+	if err := m.ApplyDetection(0, meta.AllStream); err != nil {
+		t.Fatal(err)
+	}
+	const addr = 7 * meta.BlockSize
+	buf := block(0x3c)
+	for _, c := range []struct {
+		name string
+		want float64
+		op   func() error
+	}{
+		{"Write", 0, func() error { return m.Write(addr, buf) }},
+		{"Read", 1, func() error { _, err := m.Read(addr); return err }},
+	} {
+		var err error
+		if n := testing.AllocsPerRun(20, func() { err = c.op() }); n != c.want || err != nil {
+			t.Errorf("%s on a promoted 32KB unit: %v allocations per call (want %v), err %v", c.name, n, c.want, err)
+		}
+	}
+}

@@ -18,7 +18,7 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 	if chunk >= m.geom.Chunks() {
 		panic(fmt.Sprintf("secmem: chunk %d outside region", chunk))
 	}
-	oldSP := m.table.Current(chunk) //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
+	oldSP := m.table[chunk]
 	if oldSP == newSP {
 		return nil
 	}
@@ -36,8 +36,7 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 	}
 
 	// Commit the new encoding so slot/unit resolution below uses it.
-	m.table.SetNext(chunk, newSP)
-	m.table.CommitAll(chunk)
+	m.setEncoding(chunk, newSP)
 
 	// The switch window is open: metadata committed, units not resealed.
 	// Campaigns hook this to land mid-switch mutations; because the reseal
@@ -105,7 +104,7 @@ func (m *Memory) Promote(chunk uint64, first, count int) error {
 	if err := m.checkParts(chunk, first, count); err != nil {
 		return err
 	}
-	return m.ApplyDetection(chunk, m.table.Current(chunk).PromoteMask(first, count)) //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
+	return m.ApplyDetection(chunk, m.table[chunk].PromoteMask(first, count))
 }
 
 // Demote lowers the partitions [first, first+count) back to fine-grained.
@@ -113,7 +112,7 @@ func (m *Memory) Demote(chunk uint64, first, count int) error {
 	if err := m.checkParts(chunk, first, count); err != nil {
 		return err
 	}
-	return m.ApplyDetection(chunk, m.table.Current(chunk).DemoteMask(first, count)) //mutate:ignore drop-window no secmem call leaves a switch pending (every table write commits at once), so Next equals Current here
+	return m.ApplyDetection(chunk, m.table[chunk].DemoteMask(first, count))
 }
 
 // checkParts rejects a chunk outside the region and a partition range that
