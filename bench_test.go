@@ -321,10 +321,13 @@ func BenchmarkProtectedRead(b *testing.B) {
 // and Engine.Probe unset): the production setting, in which every
 // emission site reduces to one predictable nil-check branch. It is the
 // baseline BenchmarkProbeCollector and BenchmarkProbeTrace price the
-// enabled paths against.
+// enabled paths against. It reports allocations on every run: a run's
+// allocations are its setup, so allocs/op moving means a per-request
+// allocation crept in.
 func BenchmarkProbeOff(b *testing.B) {
 	cfg := benchCfg()
 	sc := hetero.SelectedScenarios()[8] // cc1
+	b.ReportAllocs()
 	b.ResetTimer()
 	var reqs uint64
 	for i := 0; i < b.N; i++ {

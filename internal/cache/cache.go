@@ -1,12 +1,15 @@
 // Package cache implements the set-associative on-chip caches used across
 // the simulator: the 8KB security-metadata cache and 4KB MAC cache of the
 // memory-protection engine (paper section 5.1), the granularity-table
-// cache, and the small LLC front filters of the device models.
+// cache, the engine's open-unit buffer, and the tree walker's subtree root
+// registers.
 //
 // The cache is a timing/occupancy model: it tracks tags, dirty bits and LRU
 // state, not payload bytes. The functional protection layer (internal/secmem)
 // holds real bytes; it shares geometry with this model through internal/meta.
 package cache
+
+import "math/bits"
 
 // Line addresses handed to the cache are byte addresses; the cache aligns
 // them to its line size internally.
@@ -15,9 +18,11 @@ package cache
 type Config struct {
 	// SizeBytes is total capacity.
 	SizeBytes int
-	// LineBytes is the line size (64 for every cache in the paper).
+	// LineBytes is the line size (64 for every cache in the paper); a power
+	// of two.
 	LineBytes int
-	// Ways is the associativity.
+	// Ways is the associativity. SizeBytes/LineBytes/Ways, the set count,
+	// must be a power of two.
 	Ways int
 }
 
@@ -29,34 +34,32 @@ type Stats struct {
 	Writebacks uint64 // dirty evictions
 }
 
-// MissRate returns misses / (hits+misses), or 0 when idle.
-func (s *Stats) MissRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(total)
-}
-
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recent
-}
-
 // Cache is a set-associative write-back cache model with LRU replacement.
+//
+// The ways of a set sit side by side in three parallel arrays, so a probe
+// scans one set's tags contiguously (an 8-way set of 8B tags is one 64B
+// host cacheline) and touches the LRU stamps and dirty bits only on a hit
+// or a fill.
 type Cache struct {
-	cfg   Config
-	sets  int
-	lines []line // sets*ways, row-major by set
-	tick  uint64
+	ways      int
+	lineShift uint     // log2(LineBytes)
+	setShift  uint     // log2(sets)
+	setMask   uint64   // sets-1
+	tags      []uint64 // tag+1 per way, row-major by set; 0 marks an invalid way
+	lru       []uint64 // last-use stamp per way; larger = more recent
+	dirty     []bool
+	// tick is the cache's clock and the source of the LRU stamps. Every
+	// state change advances it (Access, Invalidate, Reset, Rehit), and it is
+	// never rewound, so a caller that reads the same Clock twice knows
+	// nothing changed the cache in between.
+	tick uint64
 	// Stats is the running event account.
 	Stats Stats
 }
 
-// New builds a cache. It panics on a non-positive or inconsistent geometry
-// because configuration is always programmer-supplied.
+// New builds a cache. It panics on a non-positive or inconsistent geometry,
+// and on a line size or set count that is not a power of two, because
+// configuration is always programmer-supplied.
 func New(cfg Config) *Cache {
 	if cfg.LineBytes <= 0 || cfg.SizeBytes <= 0 || cfg.Ways <= 0 {
 		panic("cache: non-positive geometry")
@@ -65,78 +68,71 @@ func New(cfg Config) *Cache {
 	if nLines == 0 || nLines%cfg.Ways != 0 {
 		panic("cache: size/line/ways inconsistent")
 	}
+	sets := nLines / cfg.Ways
+	if !pow2(cfg.LineBytes) || !pow2(sets) {
+		panic("cache: line size and set count must be powers of two")
+	}
 	return &Cache{
-		cfg:   cfg,
-		sets:  nLines / cfg.Ways,
-		lines: make([]line, nLines),
+		ways:      cfg.Ways,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:   uint64(sets - 1),
+		tags:      make([]uint64, nLines),
+		lru:       make([]uint64, nLines),
+		dirty:     make([]bool, nLines),
 	}
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func pow2(n int) bool { return n&(n-1) == 0 }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	blk := addr / uint64(c.cfg.LineBytes)
-	return int(blk % uint64(c.sets)), blk / uint64(c.sets)
-}
-
-// Lookup probes the cache without filling. It updates LRU and stats on hit
-// only.
-func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.index(addr)
-	base := set * c.cfg.Ways
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			c.tick++
-			l.lru = c.tick
-			c.Stats.Hits++
-			return true
-		}
-	}
-	c.Stats.Misses++
-	return false
+// index returns the first way of addr's set and the stored form of its tag
+// (tag+1, never 0).
+func (c *Cache) index(addr uint64) (base int, key uint64) {
+	blk := addr >> c.lineShift
+	return int(blk&c.setMask) * c.ways, blk>>c.setShift + 1
 }
 
 // Access probes the cache and fills on miss. It returns whether the probe
 // hit, and whether the fill evicted a dirty line (a writeback the caller
 // must charge to memory). dirty marks the accessed line dirty (a store).
+// The victim is the set's first invalid way, otherwise its least recently
+// used one.
 func (c *Cache) Access(addr uint64, dirty bool) (hit, writeback bool) {
-	set, tag := c.index(addr)
-	base := set * c.cfg.Ways
+	base, key := c.index(addr)
 	c.tick++
+	tags := c.tags[base : base+c.ways]
 	victim := -1
-	var victimLRU uint64 = ^uint64(0)
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			l.lru = c.tick
+	for i, t := range tags {
+		if t == key {
+			c.lru[base+i] = c.tick
 			if dirty {
-				l.dirty = true
+				c.dirty[base+i] = true
 			}
 			c.Stats.Hits++
 			return true, false
 		}
-		if !l.valid {
-			if victimLRU != 0 { // prefer invalid lines unconditionally
-				victim = i
-				victimLRU = 0
-			}
-		} else if l.lru < victimLRU {
+		if t == 0 && victim < 0 {
 			victim = i
-			victimLRU = l.lru
 		}
 	}
 	c.Stats.Misses++
-	l := &c.lines[base+victim]
-	if l.valid {
+	if victim < 0 {
+		lru := c.lru[base : base+c.ways]
+		victim = 0
+		oldest := lru[0]
+		for i, s := range lru {
+			if s < oldest {
+				victim, oldest = i, s
+			}
+		}
 		c.Stats.Evictions++
-		if l.dirty {
+		if c.dirty[base+victim] {
 			c.Stats.Writebacks++
 			writeback = true
 		}
 	}
-	*l = line{tag: tag, valid: true, dirty: dirty, lru: c.tick}
+	v := base + victim
+	c.tags[v], c.lru[v], c.dirty[v] = key, c.tick, dirty
 	return false, writeback
 }
 
@@ -144,24 +140,42 @@ func (c *Cache) Access(addr uint64, dirty bool) (hit, writeback bool) {
 // Used when granularity switching relocates metadata, which changes the
 // addresses metadata lives at.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	base := set * c.cfg.Ways
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			d := l.dirty
-			*l = line{}
+	base, key := c.index(addr)
+	c.tick++
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == key {
+			v := base + i
+			d := c.dirty[v]
+			c.tags[v], c.lru[v], c.dirty[v] = 0, 0, false
 			return true, d
 		}
 	}
 	return false, false
 }
 
-// Reset clears all lines and statistics.
+// Reset clears all lines and statistics. The clock keeps running.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	c.tick = 0
+	clear(c.tags)
+	clear(c.lru)
+	clear(c.dirty)
+	c.tick++
 	c.Stats = Stats{}
+}
+
+// Clock returns the cache's clock. Every Access, Invalidate and Reset
+// advances it, and so does a Rehit of n > 0 accesses; it never repeats a
+// value.
+func (c *Cache) Clock() uint64 { return c.tick }
+
+// Rehit accounts for n accesses that repeat, in the same order, the n
+// accesses that produced the last n state changes of the cache, all of
+// which hit. The caller must know that: it read Clock right after those
+// accesses, and reads the same Clock now. Under that precondition the
+// repeat hits every line again, leaves the dirty bits (a hit only sets
+// them) and the relative LRU order of all lines as they are (the repeated
+// lines were already the most recent, in that order), so only the hit
+// count and the clock move.
+func (c *Cache) Rehit(n int) {
+	c.tick += uint64(n)
+	c.Stats.Hits += uint64(n)
 }

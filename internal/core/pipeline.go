@@ -27,7 +27,6 @@ type chunkOp struct {
 	pending int
 	sealed  bool
 	latest  sim.Time
-	finAt   sim.Time
 
 	// Data-span expansion state (stage 5).
 	lo, hi uint64
@@ -41,8 +40,7 @@ type chunkOp struct {
 	// Callbacks bound once per pooled op and reused for its lifetime.
 	childFn  func(sim.Time) // one parallel slot completed
 	serialFn func(sim.Time) // next serialized fetch
-	finishFn func()         // crypto latency elapsed
-	directFn func(sim.Time) // unprotected fast path completed
+	retireFn func(sim.Time) // crypto latency elapsed, or unprotected access done
 }
 
 // getOp takes an op from the free list (or grows the pool) and initializes
@@ -53,8 +51,7 @@ func (e *Engine) getOp(r Request, user func(sim.Time)) *chunkOp {
 		op = &chunkOp{e: e}
 		op.childFn = op.child
 		op.serialFn = op.serialNext
-		op.finishFn = op.finish
-		op.directFn = op.retire
+		op.retireFn = op.retire
 	} else {
 		e.freeOps = op.next
 	}
@@ -65,7 +62,6 @@ func (e *Engine) getOp(r Request, user func(sim.Time)) *chunkOp {
 	op.pending = 0
 	op.sealed = false
 	op.latest = 0
-	op.finAt = 0
 	op.lo, op.hi = 0, 0
 	op.rmw = false
 	op.serial = op.serial[:0]
@@ -99,15 +95,8 @@ func (op *chunkOp) maybeFire() {
 		return
 	}
 	e := op.e
-	at := op.latest
-	if at < e.se.Now() {
-		at = e.se.Now()
-	}
-	op.finAt = at + cryptoPs
-	e.se.At(op.finAt, op.finishFn)
+	e.se.At(max(op.latest, e.se.Now())+cryptoPs, op.retireFn)
 }
-
-func (op *chunkOp) finish() { op.retire(op.finAt) }
 
 // serialNext is the completion callback of one serialized fetch.
 func (op *chunkOp) serialNext(sim.Time) { op.serialStep() }
@@ -189,10 +178,7 @@ func (sp *splitOp) maybeFire() {
 		return
 	}
 	e := sp.e
-	at := sp.latest
-	if at < e.se.Now() {
-		at = e.se.Now()
-	}
+	at := max(sp.latest, e.se.Now())
 	user := sp.user
 	sp.user = nil
 	sp.next = e.freeSplits
@@ -229,8 +215,7 @@ func (e *Engine) Submit(r Request, done func(sim.Time)) {
 
 // submitChunk handles a transaction confined to one 32KB chunk. The stages
 // are scheme-agnostic: every per-scheme decision reads the registry row
-// (Spec traits and unit rules) through granRules, counterSource and
-// macLine.
+// (Spec traits and unit rules) through granRules and counterSource.
 func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 	e.Stats.Requests++
 	e.recordIssue(r)
@@ -244,9 +229,9 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 
 	if !e.spec.Protect {
 		if r.Write {
-			e.memWrite(r.Device, r.Addr, r.Size, mem.Data, op.directFn)
+			e.memWrite(r.Device, r.Addr, r.Size, mem.Data, op.retireFn)
 		} else {
-			e.memRead(r.Device, r.Addr, r.Size, mem.Data, op.directFn)
+			e.memRead(r.Device, r.Addr, r.Size, mem.Data, op.retireFn)
 		}
 		return
 	}
@@ -360,10 +345,25 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 		}
 	}
 
-	// 7. MAC path: one cacheline per needed MAC line, in parallel.
+	// 7. MAC path: one cacheline per needed MAC line, in parallel. A
+	// 32KB-capped table rule (the Ours family) uses the Fig. 9 compacted
+	// layout, where every unit holds one slot in address order; a
+	// request's units are consecutive units of the chunk, so they hold
+	// consecutive slots starting at its first unit's. Fixed and 4KB-capped
+	// rules use the flat per-block layout (slot = block index within
+	// chunk).
+	compact := macRule.table && macRule.cap == meta.Gran32K
+	var slot0 int
+	if compact {
+		slot0, _ = sp.MACSlot(meta.BlockInChunk(e.macUnits[0].base))
+	}
 	var lastLine uint64 = ^uint64(0)
-	for _, u := range e.macUnits {
-		lineAddr := e.macLine(chunk, chunkBase, sp, u, macRule)
+	for k, u := range e.macUnits {
+		slot := int((u.base - chunkBase) / meta.BlockSize)
+		if compact {
+			slot = slot0 + k
+		}
+		lineAddr := e.geom.MACLineAddr(chunk, slot)
 		if lineAddr != lastLine {
 			lastLine = lineAddr
 			hit, wb := e.macCache.Access(lineAddr, r.Write)
@@ -525,18 +525,6 @@ func (e *Engine) counterSource(device int, chunk uint64) CounterSource {
 		}
 	}
 	return CountersTree
-}
-
-// macLine resolves the 64B MAC line holding a unit's MAC. A 32KB-capped
-// table rule (the Ours family) uses the Fig. 9 compacted layout through
-// the stream-part encoding; fixed and 4KB-capped rules use the flat
-// per-block layout (slot = block index within chunk).
-func (e *Engine) macLine(chunk, chunkBase uint64, sp meta.StreamPart, u unitSpan, rule granRule) uint64 {
-	if rule.table && rule.cap == meta.Gran32K {
-		addr, _ := e.geom.MACAddrFor(u.base, sp)
-		return meta.AlignBlock(addr)
-	}
-	return e.geom.MACLineAddr(chunk, int((u.base-chunkBase)/meta.BlockSize))
 }
 
 // appendUnits collects the protection units covering a request under a

@@ -67,8 +67,22 @@ type Issuer struct {
 	done   bool
 	finish sim.Time
 
+	// Issuing allocates nothing: the gap timers are pooled (at most
+	// IssueSlots are ever armed) and the completion callback is bound once.
+	freeGaps  *gapTimer
+	completed func(sim.Time)
+
 	// Stats is the running account.
 	Stats Stats
+}
+
+// gapTimer is one armed compute gap: when it fires, its request issues.
+// Each timer binds its callback once, when first allocated.
+type gapTimer struct {
+	d    *Issuer
+	r    workload.Request
+	next *gapTimer // free-list link
+	fire func(sim.Time)
 }
 
 // New builds an issuer. MLP and IssueSlots default to 1.
@@ -79,7 +93,9 @@ func New(eng *sim.Engine, sub Submitter, gen workload.Generator, cfg Config) *Is
 	if cfg.IssueSlots <= 0 {
 		cfg.IssueSlots = 1
 	}
-	return &Issuer{eng: eng, sub: sub, gen: gen, cfg: cfg}
+	d := &Issuer{eng: eng, sub: sub, gen: gen, cfg: cfg}
+	d.completed = d.complete
+	return d
 }
 
 // Name returns the device label.
@@ -87,7 +103,7 @@ func (d *Issuer) Name() string { return d.cfg.Name }
 
 // Start schedules the first issue; call once before running the engine.
 func (d *Issuer) Start() {
-	d.eng.At(d.eng.Now(), func() { d.pump() })
+	d.eng.At(d.eng.Now(), func(sim.Time) { d.pump() })
 }
 
 // Done reports whether the trace has fully drained.
@@ -133,8 +149,24 @@ func (d *Issuer) pump() {
 			d.barrier = true
 			d.Stats.Barriers++
 		}
-		d.eng.After(r.GapPs, func() { d.issue(r) })
+		g := d.freeGaps
+		if g == nil {
+			g = &gapTimer{d: d}
+			g.fire = g.expire
+		} else {
+			d.freeGaps = g.next
+		}
+		g.r = r
+		d.eng.After(r.GapPs, g.fire)
 	}
+}
+
+// expire returns the timer to the pool, then issues its request (which may
+// arm the timer again).
+func (g *gapTimer) expire(sim.Time) {
+	d, r := g.d, g.r
+	g.next, d.freeGaps = d.freeGaps, g
+	d.issue(r)
 }
 
 func (d *Issuer) issue(r workload.Request) {
@@ -152,11 +184,14 @@ func (d *Issuer) issue(r workload.Request) {
 		Size:   r.Size,
 		Write:  r.Write,
 	}
-	d.sub.Submit(req, func(sim.Time) {
-		d.outstanding--
-		d.maybeFinish()
-		d.pump()
-	})
+	d.sub.Submit(req, d.completed)
+	d.pump()
+}
+
+// complete is the Submitter's completion callback for every request.
+func (d *Issuer) complete(sim.Time) {
+	d.outstanding--
+	d.maybeFinish()
 	d.pump()
 }
 

@@ -40,9 +40,9 @@ func (s *recordSub) Submit(r core.Request, done func(sim.Time)) {
 	if s.current > s.maxConc {
 		s.maxConc = s.current
 	}
-	s.eng.After(s.delay, func() {
+	s.eng.After(s.delay, func(at sim.Time) {
 		s.current--
-		done(s.eng.Now())
+		done(at)
 	})
 }
 
@@ -146,6 +146,59 @@ func TestByteAccounting(t *testing.T) {
 	d, _, _ := run(reqs, Config{MLP: 2}, 10)
 	if d.Stats.ReadBytes != 128 || d.Stats.WriteBytes != 64 {
 		t.Fatalf("bytes = %d/%d", d.Stats.ReadBytes, d.Stats.WriteBytes)
+	}
+}
+
+// loopGen cycles through a fixed request list forever without allocating.
+type loopGen struct {
+	reqs []workload.Request
+	i    int
+}
+
+func (g *loopGen) Next() (workload.Request, bool) {
+	r := g.reqs[g.i%len(g.reqs)]
+	g.i++
+	return r, true
+}
+func (g *loopGen) Name() string { return "loop" }
+
+// delaySub completes every request a fixed delay after submission by
+// scheduling the issuer's own callback, so it allocates nothing.
+type delaySub struct {
+	eng   *sim.Engine
+	delay sim.Time
+}
+
+func (s delaySub) Submit(_ core.Request, done func(sim.Time)) { s.eng.After(s.delay, done) }
+
+// Once the event heap and the gap-timer pool have grown, issuing allocates
+// nothing: no closure per gap timer or per completion. The request mix
+// takes every path of pump: compute gaps on several issue slots, dependent
+// loads, writes and kernel barriers.
+func TestIssueSteadyStateZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	gen := &loopGen{reqs: []workload.Request{
+		req(0, 700, false), req(64, 0, true), {Addr: 4096, Size: 4096, GapPs: 300, Write: true}, req(128, 1500, false),
+	}}
+	d := New(eng, delaySub{eng, 2000}, gen, Config{MLP: 6, IssueSlots: 3, HonorDeps: true, BarrierEvery: 5})
+	d.Start()
+	const window = 100_000
+	var deadline sim.Time
+	run := func() {
+		deadline += window
+		eng.Run(deadline)
+	}
+	for i := 0; i < 10; i++ {
+		run()
+	}
+	before := d.Stats
+	if avg := testing.AllocsPerRun(50, run); avg != 0 {
+		t.Fatalf("issuing allocates %.2f times per %d ps window, want 0", avg, window)
+	}
+	issued := d.Stats.Issued - before.Issued
+	if issued < 51*50 || d.Stats.DepStalls == before.DepStalls || d.Stats.Barriers == before.Barriers {
+		t.Fatalf("measured windows issued %d requests, %d dep stalls, %d barriers: the mix did not exercise the issuer",
+			issued, d.Stats.DepStalls-before.DepStalls, d.Stats.Barriers-before.Barriers)
 	}
 }
 

@@ -185,6 +185,20 @@ func TestOracleRuns(t *testing.T) {
 	}
 }
 
+// A timing run's allocations are its setup (traces, maps, caches, pools
+// and the event heap growing), not a cost per simulated request: one
+// cc1/Ours run at scale 0.08 issues 3,328 device requests and allocates
+// about 650 objects. The bound catches a closure per request or per event
+// creeping back into the device issuers, the engine or the simulation
+// kernel (two closures per request in the issuers made it 7,346).
+func TestRunAllocatesOnlyInSetup(t *testing.T) {
+	sc := SelectedScenarios()[8] // cc1
+	cfg := Config{Scale: 0.08, Seed: 1}
+	if avg := testing.AllocsPerRun(1, func() { Run(sc, core.Ours, cfg) }); avg >= 1500 {
+		t.Fatalf("one cc1/Ours run allocates %.0f objects, want fewer than 1,500", avg)
+	}
+}
+
 func TestScenarioChunkMix(t *testing.T) {
 	sel := SelectedScenarios()
 	ff1 := ScenarioChunkMix(sel[0], 0.05, 1)

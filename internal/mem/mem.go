@@ -118,11 +118,6 @@ func New(eng *sim.Engine, cfg Config) *Memory {
 	return &Memory{eng: eng, cfg: cfg, free: make([]sim.Time, cfg.Channels)}
 }
 
-// channelOf maps a 64B block address to a channel (64B interleaving).
-func (m *Memory) channelOf(addr uint64) int {
-	return int(addr/BlockSize) % m.cfg.Channels
-}
-
 // Read requests size bytes starting at addr and calls done when the last
 // beat has arrived on chip. size is rounded up to whole 64B beats. The
 // callback receives the completion time.
@@ -137,33 +132,38 @@ func (m *Memory) Write(addr uint64, size int, kind Kind, done func(sim.Time)) {
 	m.access(addr, size, kind, true, done)
 }
 
+// access charges one transaction. Its beats interleave across the channels
+// at 64B granularity starting from addr's channel, and each channel serves
+// its share back to back from the later of its free time and now, so the
+// cost is one step per channel, not per beat.
 func (m *Memory) access(addr uint64, size int, kind Kind, write bool, done func(sim.Time)) {
 	if size <= 0 {
 		size = BlockSize
 	}
 	beats := (size + BlockSize - 1) / BlockSize
+	chans := m.cfg.Channels
+	per, extra := beats/chans, beats%chans
+	first := int(addr/BlockSize) % chans
 	now := m.eng.Now()
 	var last sim.Time
-	for i := 0; i < beats; i++ {
-		ch := m.channelOf(addr + uint64(i*BlockSize))
-		start := m.free[ch]
-		if start < now {
-			start = now
+	for i := 0; i < min(chans, beats); i++ {
+		n := per
+		if i < extra {
+			n++
 		}
-		end := start + sim.Time(m.cfg.SlotPs)
+		ch := (first + i) % chans
+		end := max(m.free[ch], now) + sim.Time(int64(n)*m.cfg.SlotPs)
 		m.free[ch] = end
-		m.Stats.BusyPs += m.cfg.SlotPs
-		if write {
-			m.Stats.Writes[kind]++
-		} else {
-			m.Stats.Reads[kind]++
-		}
-		if end > last {
-			last = end
-		}
+		last = max(last, end)
+	}
+	m.Stats.BusyPs += int64(beats) * m.cfg.SlotPs
+	if write {
+		m.Stats.Writes[kind] += uint64(beats)
+	} else {
+		m.Stats.Reads[kind] += uint64(beats)
 	}
 	if done != nil {
-		m.eng.AtCall(last+sim.Time(m.cfg.LatencyPs), done)
+		m.eng.At(last+sim.Time(m.cfg.LatencyPs), done)
 	}
 }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"unimem/internal/sim"
@@ -134,5 +135,83 @@ func TestStatsBytesTotals(t *testing.T) {
 	eng.RunAll()
 	if got := m.Stats.Bytes(); got != 192 {
 		t.Fatalf("total bytes = %d, want 192", got)
+	}
+}
+
+// refMemory is the per-beat model that Memory.access replaced: each beat
+// queues on its own channel in turn. It is the exactness reference for the
+// per-channel shortcut.
+type refMemory struct {
+	cfg  Config
+	free []sim.Time
+	busy int64
+}
+
+// access charges one transaction issued at now and returns its completion
+// time.
+func (r *refMemory) access(now sim.Time, addr uint64, size int) sim.Time {
+	if size <= 0 {
+		size = BlockSize
+	}
+	var last sim.Time
+	for i := 0; i < (size+BlockSize-1)/BlockSize; i++ {
+		ch := int((addr+uint64(i*BlockSize))/BlockSize) % r.cfg.Channels
+		end := max(r.free[ch], now) + sim.Time(r.cfg.SlotPs)
+		r.free[ch] = end
+		r.busy += r.cfg.SlotPs
+		last = max(last, end)
+	}
+	return last + sim.Time(r.cfg.LatencyPs)
+}
+
+// Every access matches the per-beat reference in each channel's free time,
+// the busy time, the beat counts and the completion time, on random
+// addresses (aligned or not), sizes (non-positive, partial and multi-beat
+// up to a 32KB tile and beyond) and channel counts.
+func TestAccessMatchesPerBeatReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 100; trial++ {
+		cfg := Config{Channels: 1 + rng.Intn(5), SlotPs: 1 + rng.Int63n(9000), LatencyPs: rng.Int63n(50000)}
+		eng := sim.NewEngine()
+		m := New(eng, cfg)
+		ref := &refMemory{cfg: cfg, free: make([]sim.Time, cfg.Channels)}
+		var want, got []sim.Time
+		var beats uint64
+		for i := 0; i < 60; i++ {
+			now := eng.Now() + sim.Time(rng.Int63n(4*cfg.SlotPs))
+			eng.Run(now) // completions due by now fire first
+			eng.At(now, func(sim.Time) {})
+			eng.Run(now)
+			addr := uint64(rng.Int63n(1 << 26))
+			if rng.Intn(2) == 0 {
+				addr &^= BlockSize - 1
+			}
+			size := rng.Intn(600*BlockSize) - BlockSize
+			want = append(want, ref.access(now, addr, size))
+			got = append(got, -1)
+			done := func(at sim.Time) { got[i] = at }
+			if rng.Intn(2) == 0 {
+				m.Read(addr, size, Counter, done)
+			} else {
+				m.Write(addr, size, MAC, done)
+			}
+			beats += uint64((max(size, 1) + BlockSize - 1) / BlockSize)
+			for ch := range ref.free {
+				if m.free[ch] != ref.free[ch] {
+					t.Fatalf("trial %d access %d (%+v, addr %#x, size %d): channel %d free at %d, reference %d",
+						trial, i, cfg, addr, size, ch, m.free[ch], ref.free[ch])
+				}
+			}
+		}
+		eng.RunAll()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d access %d (%+v): completed at %d, reference %d", trial, i, cfg, got[i], want[i])
+			}
+		}
+		if m.Stats.BusyPs != ref.busy || m.Stats.Reads[Counter]+m.Stats.Writes[MAC] != beats {
+			t.Fatalf("trial %d: busy %d beats %d, reference %d and %d",
+				trial, m.Stats.BusyPs, m.Stats.Reads[Counter]+m.Stats.Writes[MAC], ref.busy, beats)
+		}
 	}
 }

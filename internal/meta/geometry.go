@@ -111,13 +111,6 @@ func (g *Geometry) CounterSlot(level int, blockIdx uint64) int {
 	return int(g.CounterEntryIndex(level, blockIdx) % Arity)
 }
 
-// ParentEntryForLine returns, for a stored level's line (identified by any
-// block it covers), whether the parent counter is an on-chip root entry,
-// and if not, the parent's stored level. The parent counter of the line at
-// level l is entry CounterEntryIndex(l+1, blockIdx): one parent counter per
-// child line.
-func (g *Geometry) ParentIsRoot(level int) bool { return level+1 >= g.levels }
-
 // RootSlot returns the on-chip root register index guarding blockIdx's
 // top-most stored line. It is always below RootEntries() because each
 // level-l entry index is the level-(l-1) index divided by Arity.

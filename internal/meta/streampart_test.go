@@ -138,63 +138,33 @@ func TestMACSlotAllStream(t *testing.T) {
 	}
 }
 
-// Property: under any encoding, distinct protection units occupy distinct
-// slots, unit members share a slot, slots are dense in [0, SlotsUsed), and
-// address order is preserved.
+// Property: under any encoding, the k-th protection unit in address order
+// occupies slot k, and every block of a unit resolves to the unit's slot and
+// granularity. So the units fill [0, SlotsUsed) densely and without
+// collision, and a request's consecutive units hold consecutive slots,
+// which the engine's MAC path relies on (it resolves only its first unit's
+// slot).
 func TestMACSlotBijectionProperty(t *testing.T) {
 	f := func(raw uint64) bool {
 		sp := StreamPart(raw)
-		used := sp.SlotsUsed()
-		seen := map[int]Unit{}
-		prevSlot := -1
-		for _, u := range sp.Units() {
-			slot, g := sp.MACSlot(u.Block)
-			if g != u.Gran {
-				return false
-			}
-			if slot <= prevSlot { // strictly increasing across units
-				return false
-			}
-			prevSlot = slot
-			if slot < 0 || slot >= used {
-				return false
-			}
-			if _, dup := seen[slot]; dup {
-				return false
-			}
-			seen[slot] = u
-			// Every block of the unit resolves to the same slot for coarse
-			// units, and to consecutive slots for fine partitions.
-			for b := u.Block; b < u.Block+u.Blocks(); b++ {
-				s, _ := sp.MACSlot(b)
-				if u.Gran == Gran64 {
-					if s != slot {
-						return false
-					}
-				} else if u.Gran == Gran512 || u.Gran == Gran4K || u.Gran == Gran32K {
-					if s != slot {
-						return false
-					}
-				}
-			}
-			if u.Gran == Gran64 {
-				continue
-			}
+		units := sp.Units()
+		if len(units) != sp.SlotsUsed() {
+			return false
 		}
-		// Fine partitions: 8 consecutive slots, one per block.
-		for p := 0; p < PartsPerChunk; p++ {
-			if sp.GranOf(p) != Gran64 {
-				continue
-			}
-			base, _ := sp.MACSlot(p * BlocksPerPartition)
-			for b := 0; b < BlocksPerPartition; b++ {
-				s, g := sp.MACSlot(p*BlocksPerPartition + b)
-				if g != Gran64 || s != base+b {
+		for k, u := range units {
+			for b := u.Block; b < u.Block+u.Blocks(); b++ {
+				if s, g := sp.MACSlot(b); s != k || g != u.Gran {
 					return false
 				}
 			}
 		}
 		return true
+	}
+	// Random bits rarely form whole 4KB groups; pin those shapes too.
+	for _, raw := range []uint64{0, uint64(AllStream), 0xff, 0xff<<56 | 1, 0x00ff_0f00_ff00_80ff, ^uint64(1)} {
+		if !f(raw) {
+			t.Fatalf("encoding %#x: unit slots are not 0, 1, 2, ... in address order", raw)
+		}
 	}
 	if err := quick.Check(f, quickCfg(200)); err != nil {
 		t.Fatal(err)

@@ -68,10 +68,7 @@ func (t *Table) CommitUnit(chunk uint64, b int) (from, to Gran) {
 	}
 	// The unit under the coarser of the two encodings defines the span to
 	// re-encode, so a 4KB->512B demotion rewrites all 8 partitions.
-	span := from
-	if to > span {
-		span = to
-	}
+	span := max(from, to)
 	parts := span.Blocks() / BlocksPerPartition
 	if parts == 0 {
 		parts = 1
@@ -129,10 +126,4 @@ func (t *Table) CloneCommitted() *Table {
 		out.cur[c] = sp
 	}
 	return out
-}
-
-// Reset clears the table.
-func (t *Table) Reset() {
-	t.cur = map[uint64]StreamPart{}
-	t.next = map[uint64]StreamPart{}
 }

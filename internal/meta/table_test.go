@@ -99,16 +99,6 @@ func TestPartialPromotion32K(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	tb := NewTable()
-	tb.SetNext(1, AllStream)
-	tb.CommitAll(1)
-	tb.Reset()
-	if tb.Chunks() != 0 || tb.PendingChunks() != 0 || tb.Current(1) != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 // Property: repeatedly committing units for random blocks converges the
 // current encoding to the pending one, regardless of order. Every single
 // commit lands its partition at the returned target granularity and leaves

@@ -44,19 +44,14 @@ type Clock struct {
 // Cycles converts a duration in this clock's cycles to picoseconds.
 func (c Clock) Cycles(n int64) Time { return Time(n * c.PeriodPs) }
 
-// ToCycles converts an absolute time to a cycle count in this domain,
-// rounding down.
-func (c Clock) ToCycles(t Time) int64 { return int64(t) / c.PeriodPs }
-
-// Event is a scheduled callback. Exactly one of fn / fnAt is set: fnAt
-// receives the event's own timestamp, which lets completion paths pass a
-// pre-bound callback instead of allocating a closure that captures the time
-// (see AtCall).
+// event is a scheduled callback. The callback receives the event's own
+// timestamp, so a completion path passes a callback bound once (a method
+// value held for the component's lifetime) instead of allocating a closure
+// that captures the time.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO among equal timestamps
-	fn   func()
-	fnAt func(Time)
+	at  Time
+	seq uint64 // tie-breaker: FIFO among equal timestamps
+	fn  func(Time)
 }
 
 // eventLess orders events by (at, seq): earliest first, FIFO among equal
@@ -120,9 +115,6 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	// Executed counts processed events, exposed for tests and for
-	// run-length limiting.
-	Executed uint64
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -133,9 +125,10 @@ func NewEngine() *Engine {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// At schedules fn to run at absolute time t. Scheduling in the past (t less
-// than Now) panics: it always indicates a component bug, never valid input.
-func (e *Engine) At(t Time, fn func()) {
+// At schedules fn to run at absolute time t and passes it t. Scheduling in
+// the past (t less than Now) panics: it always indicates a component bug,
+// never valid input.
+func (e *Engine) At(t Time, fn func(Time)) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
@@ -143,22 +136,8 @@ func (e *Engine) At(t Time, fn func()) {
 	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
-// AtCall schedules fn to run at absolute time t, passing t to the callback.
-// It is equivalent to At(t, func() { fn(t) }) without allocating the
-// closure: a completion path that already holds a long-lived func(Time) —
-// the memory model's done callbacks, the protection engine's pooled
-// continuations — schedules it directly, keeping the steady state
-// allocation-free.
-func (e *Engine) AtCall(t Time, fn func(Time)) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fnAt: fn})
-}
-
 // After schedules fn to run d picoseconds from now.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
+func (e *Engine) After(d Time, fn func(Time)) { e.At(e.now+d, fn) }
 
 // Pending reports how many events are queued.
 func (e *Engine) Pending() int { return len(e.events) }
@@ -171,12 +150,7 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.events.pop()
 	e.now = ev.at
-	e.Executed++
-	if ev.fnAt != nil {
-		ev.fnAt(ev.at)
-	} else {
-		ev.fn()
-	}
+	ev.fn(ev.at)
 	return true
 }
 

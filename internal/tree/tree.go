@@ -22,7 +22,8 @@ type Config struct {
 	// SubtreeLevel is the tree level whose nodes the root registers hold;
 	// level 3 nodes each cover one 32KB chunk.
 	SubtreeLevel int
-	// SubtreeEntries is the number of on-chip subtree-root registers.
+	// SubtreeEntries is the number of on-chip subtree-root registers
+	// (positive when Subtree is set).
 	SubtreeEntries int
 	// PruneUnused skips verification for chunks never written since boot
 	// (PENGLAI mountable trees).
@@ -59,18 +60,43 @@ type Walker struct {
 	cfg  Config
 
 	rootCache *cache.Cache    // subtree root registers, modelled as 1-way-per-entry LRU
-	touched   map[uint64]bool // chunks written since boot (for PruneUnused)
+	touched   map[uint64]bool // chunks written since boot (kept under PruneUnused only)
 	buf       []uint64        // reused Fetches backing store (see Read/Write)
+
+	// rep describes the last write walk when a write walk on the same path
+	// may re-hit it (see write).
+	rep repeat
+}
+
+// repeat records a write walk that hit at every level it touched, and the
+// clocks of both caches right after it. A later write walk on the same path
+// touches the same lines in the same order; while neither clock has moved,
+// each of those accesses hits again and changes nothing but the hit counts
+// and the clocks (cache.Rehit).
+type repeat struct {
+	ok         bool
+	path       path
+	levels     int  // metadata-cache lines the walk touched
+	subtreeHit bool // the walk ended at a root register
+	clocks     [2]uint64
+}
+
+// path identifies the lines a write walk touches: its start level, the
+// counter line there (which fixes every line above it) and the subtree root
+// it may stop at (0 without root registers). The root is not implied by the
+// line when the walk starts at the subtree level.
+type path struct {
+	level         int
+	line, subtree uint64
 }
 
 // New builds a walker over a geometry and a shared metadata cache.
 func New(geom *meta.Geometry, metaCache *cache.Cache, cfg Config) *Walker {
-	w := &Walker{geom: geom, meta: metaCache, cfg: cfg, touched: map[uint64]bool{}}
+	w := &Walker{geom: geom, meta: metaCache, cfg: cfg}
+	if cfg.PruneUnused {
+		w.touched = map[uint64]bool{}
+	}
 	if cfg.Subtree {
-		if cfg.SubtreeEntries <= 0 {
-			cfg.SubtreeEntries = 64
-			w.cfg.SubtreeEntries = 64
-		}
 		// Fully associative register file keyed by subtree id.
 		w.rootCache = cache.New(cache.Config{
 			SizeBytes: cfg.SubtreeEntries * 64,
@@ -87,14 +113,12 @@ func (w *Walker) subtreeID(blockIdx uint64) uint64 {
 }
 
 // MarkTouched records that the chunk holding blockIdx now has live tree
-// state (called on writes).
+// state (called on writes). Only PruneUnused reads the record, so other
+// walkers keep none.
 func (w *Walker) MarkTouched(blockIdx uint64) {
-	w.touched[blockIdx/meta.BlocksPerChunk] = true
-}
-
-// Touched reports whether the chunk holding blockIdx has been written.
-func (w *Walker) Touched(blockIdx uint64) bool {
-	return w.touched[blockIdx/meta.BlocksPerChunk]
+	if w.touched != nil {
+		w.touched[blockIdx/meta.BlocksPerChunk] = true
+	}
 }
 
 // Read walks the tree for a read of a unit whose counter lives at
@@ -113,7 +137,7 @@ func (w *Walker) Read(blockIdx uint64, startLevel int) Walk {
 
 func (w *Walker) read(blockIdx uint64, startLevel int) Walk {
 	walk := Walk{Fetches: w.buf[:0]}
-	if w.cfg.PruneUnused && !w.Touched(blockIdx) {
+	if w.cfg.PruneUnused && !w.touched[blockIdx/meta.BlocksPerChunk] {
 		walk.Pruned = true
 		return walk
 	}
@@ -146,12 +170,35 @@ func (w *Walker) Write(blockIdx uint64, startLevel int) Walk {
 	return walk
 }
 
+// write walks every level, unless the walk repeats the previous write walk
+// on an unchanged cache (see repeat): then it re-hits that walk's lines in
+// one step. Only a walk that hit everywhere is recorded. A walk that
+// fetched filled lines (and may have evicted), and a walk that missed the
+// subtree root and went on above it installed that root, so its repeat
+// would stop at the root instead.
 func (w *Walker) write(blockIdx uint64, startLevel int) Walk {
-	walk := Walk{Fetches: w.buf[:0]}
 	w.MarkTouched(blockIdx)
+	p := path{level: startLevel, line: blockIdx >> (3 * uint(startLevel+1))}
+	if w.rootCache != nil {
+		p.subtree = w.subtreeID(blockIdx)
+	}
+	if rp := &w.rep; rp.ok && rp.path == p && rp.clocks == w.clocks() {
+		w.meta.Rehit(rp.levels)
+		if rp.subtreeHit {
+			w.rootCache.Rehit(1)
+		}
+		rp.clocks = w.clocks()
+		return Walk{Fetches: w.buf[:0], Levels: rp.levels, SubtreeHit: rp.subtreeHit}
+	}
+
+	walk := Walk{Fetches: w.buf[:0]}
+	rootMissed := false
 	for level := startLevel; level < w.geom.Levels(); level++ {
 		if w.subtreeStop(blockIdx, level, &walk) {
-			return walk
+			break
+		}
+		if w.cfg.Subtree && level == w.cfg.SubtreeLevel {
+			rootMissed = true
 		}
 		walk.Levels++
 		addr := w.geom.CounterLineAddr(level, blockIdx)
@@ -163,7 +210,23 @@ func (w *Walker) write(blockIdx uint64, startLevel int) Walk {
 			walk.Fetches = append(walk.Fetches, addr)
 		}
 	}
+	w.rep = repeat{
+		ok:         len(walk.Fetches) == 0 && !rootMissed,
+		path:       p,
+		levels:     walk.Levels,
+		subtreeHit: walk.SubtreeHit,
+		clocks:     w.clocks(),
+	}
 	return walk
+}
+
+// clocks reads the metadata cache's and the root registers' clocks.
+func (w *Walker) clocks() [2]uint64 {
+	c := [2]uint64{w.meta.Clock()}
+	if w.rootCache != nil {
+		c[1] = w.rootCache.Clock()
+	}
+	return c
 }
 
 // subtreeStop consults the root registers when the walk reaches the
@@ -178,12 +241,4 @@ func (w *Walker) subtreeStop(blockIdx uint64, level int, walk *Walk) bool {
 		walk.SubtreeHit = true
 	}
 	return hit
-}
-
-// SubtreeStats exposes root-register hit statistics (nil when disabled).
-func (w *Walker) SubtreeStats() *cache.Stats {
-	if w.rootCache == nil {
-		return nil
-	}
-	return &w.rootCache.Stats
 }
