@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -33,41 +34,48 @@ import (
 	"unimem/internal/report"
 )
 
-func main() { os.Exit(run()) }
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-// run parses the flags, prints the selected experiments and returns the
-// exit code, so the CPU profile is stopped on every exit.
-func run() (code int) {
-	exp := flag.String("exp", "", "experiment id (default: all)")
-	scale := flag.Float64("scale", 0.12, "trace-length scale factor")
-	seed := flag.Uint64("seed", 1, "trace seed")
-	sample := flag.Int("sample", 24, "scenarios in sweeps (0 = all 250)")
-	full := flag.Bool("full", false, "shorthand for -sample 0 -scale 0.2")
-	workers := flag.Int("workers", 0, "parallel sweep workers (0 = all CPUs)")
-	progress := flag.Bool("progress", false, "report sweep progress on stderr")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
-	flag.Parse()
+// run is the testable body of the command: it parses args, prints the
+// selected experiments to stdout (errors to stderr) and returns the exit
+// code, so the CPU profile is stopped on every exit.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("mgbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "", "experiment id (default: all)")
+	scale := fs.Float64("scale", 0.12, "trace-length scale factor")
+	seed := fs.Uint64("seed", 1, "trace seed")
+	sample := fs.Int("sample", 24, "scenarios in sweeps (0 = all 250)")
+	full := fs.Bool("full", false, "shorthand for -sample 0 -scale 0.2")
+	workers := fs.Int("workers", 0, "parallel sweep workers (0 = all CPUs)")
+	progress := fs.Bool("progress", false, "report sweep progress on stderr")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the command to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if !(*scale > 0) { // NaN fails too
-		fmt.Fprintf(os.Stderr, "-scale must be positive, got %v\n", *scale)
+		fmt.Fprintf(stderr, "-scale must be positive, got %v\n", *scale)
 		return 2
 	}
 	if *cpuprofile != "" {
 		stop, err := startCPUProfile(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		defer func() {
 			if err := stop(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				code = max(code, 1)
 			}
 		}()
 	}
 
 	if *list {
-		fmt.Println(strings.Join(report.IDs(), "\n"))
+		fmt.Fprintln(stdout, strings.Join(report.IDs(), "\n"))
 		return 0
 	}
 	o := report.Options{Scale: *scale, Seed: *seed, SampleN: *sample, Workers: *workers}
@@ -77,9 +85,9 @@ func run() (code int) {
 	}
 	if *progress {
 		o.Progress = func(p hetero.SweepProgress) {
-			fmt.Fprintf(os.Stderr, "\rsweep: %d/%d runs, eta %v   ", p.Done, p.Total, p.ETA.Round(100*time.Millisecond))
+			fmt.Fprintf(stderr, "\rsweep: %d/%d runs, eta %v   ", p.Done, p.Total, p.ETA.Round(100*time.Millisecond))
 			if p.Done == p.Total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
@@ -91,10 +99,10 @@ func run() (code int) {
 	for _, id := range ids {
 		f, err := report.ByID(id, o)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		fmt.Println(f)
+		fmt.Fprintln(stdout, f)
 	}
 	return 0
 }
