@@ -1,15 +1,12 @@
 package unimem
 
-// The benchmark suite regenerates every table and figure of the paper's
-// evaluation (one benchmark per experiment, backed by internal/report, the
-// same code cmd/mgbench prints). Each benchmark reports the experiment's
-// headline quantity as custom testing.B metrics, so
+// Host-time benchmarks of the simulator itself: the parallel sweep
+// scheduler, the timing engine with and without probes, and the
+// functional layer's read and write paths. The paper's tables and figures
+// are not benchmarks: cmd/mgbench regenerates them (internal/report), and
+// its golden test pins the archived run EXPERIMENTS.md records.
 //
-//	go test -bench=. -benchmem
-//
-// produces the full paper-versus-measured record; EXPERIMENTS.md archives
-// one run. Benchmarks use a scaled sweep — run cmd/mgbench -full for the
-// complete 250-scenario space.
+//	go test -run '^$' -bench . -benchmem
 
 import (
 	"context"
@@ -18,233 +15,10 @@ import (
 
 	"unimem/internal/core"
 	"unimem/internal/hetero"
-	"unimem/internal/meta"
 	"unimem/internal/probe"
-	"unimem/internal/report"
-	"unimem/internal/stats"
-	"unimem/internal/workload"
 )
 
-// benchOpts keeps every benchmark at a tractable size; the report package
-// defaults Scale to 0.12.
-func benchOpts(b *testing.B) report.Options {
-	if testing.Short() {
-		b.Skip("scenario sweeps are skipped in -short mode")
-	}
-	return report.Options{Scale: 0.08, Seed: 1, SampleN: 10}
-}
-
 func benchCfg() hetero.Config { return hetero.Config{Scale: 0.08, Seed: 1} }
-
-// BenchmarkFig04StreamChunks regenerates Figure 4: the stream-chunk ratio
-// of each workload. Reported metric: the NPU-average 32KB-chunk ratio
-// (paper: 64.5%).
-func BenchmarkFig04StreamChunks(b *testing.B) {
-	o := benchOpts(b)
-	var npu []float64
-	for i := 0; i < b.N; i++ {
-		npu = npu[:0]
-		for _, name := range workload.NPUNames {
-			g, err := workload.ByName(name, o.Scale, o.Seed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := workload.AnalyzeStreamChunks(g, 0)
-			npu = append(npu, m.Frac[meta.Gran32K])
-		}
-	}
-	b.ReportMetric(100*stats.Mean(npu), "npu-32KB-pct")
-}
-
-// BenchmarkFig05Breakdown regenerates Figure 5: the conventional-scheme
-// overhead split into MAC and counter costs per device class. Reported
-// metrics: per-class total overheads (paper: CPU 67.0%, GPU 9.8%,
-// NPU 21.1%).
-func BenchmarkFig05Breakdown(b *testing.B) {
-	benchOpts(b)
-	cfg := benchCfg()
-	var cpuOv, gpuOv, npuOv float64
-	for i := 0; i < b.N; i++ {
-		over := func(name string) float64 {
-			un := hetero.RunStandalone(name, core.Unsecure, cfg)
-			cv := hetero.RunStandalone(name, core.Conventional, cfg)
-			return float64(cv.FinishPs)/float64(un.FinishPs) - 1
-		}
-		cpuOv = over("mcf")
-		gpuOv = over("sten")
-		npuOv = over("alex")
-	}
-	b.ReportMetric(100*cpuOv, "cpu-overhead-pct")
-	b.ReportMetric(100*gpuOv, "gpu-overhead-pct")
-	b.ReportMetric(100*npuOv, "npu-overhead-pct")
-}
-
-// BenchmarkFig06PerDevice regenerates Figure 6: static per-device-best vs
-// per-partition-best on alex. Reported metric: the per-partition
-// advantage over per-device in percent (paper: alex 29.2 points).
-func BenchmarkFig06PerDevice(b *testing.B) {
-	benchOpts(b)
-	cfg := benchCfg()
-	var adv float64
-	for i := 0; i < b.N; i++ {
-		un := hetero.RunStandalone("alex", core.Unsecure, cfg)
-		st := hetero.RunStandalone("alex", core.StaticDeviceBest, cfg)
-		pp := hetero.RunStandalone("alex", core.PerPartitionOracle, cfg)
-		adv = 100 * (float64(st.FinishPs) - float64(pp.FinishPs)) / float64(un.FinishPs)
-	}
-	b.ReportMetric(adv, "perpart-vs-perdev-pct")
-}
-
-// BenchmarkTable2SwitchTypes regenerates Table 2: the granularity-switch
-// classification under Ours. Reported metric: correct-prediction ratio
-// (paper: 73.5%).
-func BenchmarkTable2SwitchTypes(b *testing.B) {
-	o := benchOpts(b)
-	cfg := benchCfg()
-	var correct float64
-	for i := 0; i < b.N; i++ {
-		var agg core.SwitchStats
-		for _, sc := range hetero.SampleScenarios(o.SampleN) {
-			s := hetero.Run(sc, core.Ours, cfg).Switches
-			agg.DownAll += s.DownAll
-			agg.UpWAR += s.UpWAR
-			agg.UpWAW += s.UpWAW
-			agg.UpRAR += s.UpRAR
-			agg.UpRAW += s.UpRAW
-			agg.Correct += s.Correct
-		}
-		correct = 100 * float64(agg.Correct) / float64(agg.Total())
-	}
-	b.ReportMetric(correct, "correct-pct")
-}
-
-// sweepBench runs a scheme sweep once per iteration and reports the mean
-// normalized execution time of the headline scheme.
-func sweepBench(b *testing.B, schemes []core.Scheme, metrics func([]hetero.SweepResult)) {
-	o := benchOpts(b)
-	cfg := benchCfg()
-	var rs []hetero.SweepResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rs, err = hetero.SweepParallel(context.Background(), hetero.SampleScenarios(o.SampleN), schemes, cfg, hetero.SweepOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	metrics(rs)
-}
-
-// BenchmarkFig15CDFPrior regenerates Figure 15: Ours against the prior
-// dual-granularity studies. Reported metrics: mean normalized execution
-// times (paper: Ours 8.5%/7.7% better than Adaptive/CommonCTR).
-func BenchmarkFig15CDFPrior(b *testing.B) {
-	sweepBench(b, []core.Scheme{core.Adaptive, core.CommonCTR, core.Ours}, func(rs []hetero.SweepResult) {
-		b.ReportMetric(hetero.MeanAcross(rs, core.Ours), "ours-exec")
-		b.ReportMetric(hetero.MeanAcross(rs, core.Adaptive), "adaptive-exec")
-		b.ReportMetric(hetero.MeanAcross(rs, core.CommonCTR), "commonctr-exec")
-	})
-}
-
-// BenchmarkFig16PriorBars regenerates Figure 16: traffic and security-
-// cache misses against the prior studies, normalized to Ours.
-func BenchmarkFig16PriorBars(b *testing.B) {
-	schemes := []core.Scheme{core.Adaptive, core.CommonCTR, core.Ours, core.BMFUnused, core.BMFUnusedOurs}
-	sweepBench(b, schemes, func(rs []hetero.SweepResult) {
-		ours := hetero.TrafficRatioAcross(rs, core.Ours)
-		b.ReportMetric(hetero.TrafficRatioAcross(rs, core.Adaptive)/ours, "adaptive-traffic-vs-ours")
-		b.ReportMetric(hetero.TrafficRatioAcross(rs, core.BMFUnusedOurs)/ours, "bmf+ours-traffic-vs-ours")
-		b.ReportMetric(hetero.MissRatioAcross(rs, core.BMFUnusedOurs, core.Ours), "bmf+ours-miss-vs-ours")
-	})
-}
-
-// BenchmarkFig17CDFBreakdown regenerates Figure 17: the optimization
-// breakdown CDF. Reported metrics: mean overheads of the three headline
-// schemes (paper: 33.9% -> 19.6% -> 12.7%).
-func BenchmarkFig17CDFBreakdown(b *testing.B) {
-	schemes := []core.Scheme{core.Conventional, core.Ours, core.BMFUnusedOurs}
-	sweepBench(b, schemes, func(rs []hetero.SweepResult) {
-		b.ReportMetric(100*(hetero.MeanAcross(rs, core.Conventional)-1), "conv-overhead-pct")
-		b.ReportMetric(100*(hetero.MeanAcross(rs, core.Ours)-1), "ours-overhead-pct")
-		b.ReportMetric(100*(hetero.MeanAcross(rs, core.BMFUnusedOurs)-1), "bmf+ours-overhead-pct")
-	})
-}
-
-// BenchmarkFig18BreakdownBars regenerates Figure 18: per-optimization
-// execution, traffic, and miss reductions from the conventional scheme.
-func BenchmarkFig18BreakdownBars(b *testing.B) {
-	schemes := []core.Scheme{core.Conventional, core.StaticDeviceBest, core.MultiCTROnly, core.Ours}
-	sweepBench(b, schemes, func(rs []hetero.SweepResult) {
-		conv := hetero.MeanAcross(rs, core.Conventional)
-		b.ReportMetric(100*(conv-hetero.MeanAcross(rs, core.MultiCTROnly))/conv, "multictr-gain-pct")
-		b.ReportMetric(100*(conv-hetero.MeanAcross(rs, core.Ours))/conv, "ours-gain-pct")
-		b.ReportMetric(hetero.MissRatioAcross(rs, core.Ours, core.Conventional), "ours-miss-vs-conv")
-	})
-}
-
-// BenchmarkFig19Selected regenerates Figure 19: the selected-scenario
-// analysis. Reported metrics: Ours' gain over conventional for the fine
-// and coarse scenario groups (paper: 5.9% vs 24.1%).
-func BenchmarkFig19Selected(b *testing.B) {
-	benchOpts(b)
-	cfg := benchCfg()
-	var fine, coarse []float64
-	for i := 0; i < b.N; i++ {
-		fine, coarse = fine[:0], coarse[:0]
-		for j, sc := range hetero.SelectedScenarios() {
-			base := hetero.Run(sc, core.Unsecure, cfg)
-			cv := hetero.Normalize(hetero.Run(sc, core.Conventional, cfg), base)
-			ours := hetero.Normalize(hetero.Run(sc, core.Ours, cfg), base)
-			gain := 100 * (cv.Mean - ours.Mean) / cv.Mean
-			if j < 5 {
-				fine = append(fine, gain)
-			} else {
-				coarse = append(coarse, gain)
-			}
-		}
-	}
-	b.ReportMetric(stats.Mean(fine), "fine-group-gain-pct")
-	b.ReportMetric(stats.Mean(coarse), "coarse-group-gain-pct")
-}
-
-// BenchmarkFig20Ablation regenerates Figure 20: dual-granularity and
-// switching-overhead ablations (paper: dual +3.3%, no-switch -4.4%).
-func BenchmarkFig20Ablation(b *testing.B) {
-	benchOpts(b)
-	cfg := benchCfg()
-	var dual, nosw float64
-	for i := 0; i < b.N; i++ {
-		var ours, duals, nosws []float64
-		for _, sc := range hetero.SelectedScenarios()[:6] {
-			base := hetero.Run(sc, core.Unsecure, cfg)
-			ours = append(ours, hetero.Normalize(hetero.Run(sc, core.Ours, cfg), base).Mean)
-			duals = append(duals, hetero.Normalize(hetero.Run(sc, core.OursDual, cfg), base).Mean)
-			nosws = append(nosws, hetero.Normalize(hetero.Run(sc, core.OursNoSwitch, cfg), base).Mean)
-		}
-		o := stats.Mean(ours)
-		dual = 100 * (stats.Mean(duals) - o) / o
-		nosw = 100 * (stats.Mean(nosws) - o) / o
-	}
-	b.ReportMetric(dual, "dual-delta-pct")
-	b.ReportMetric(nosw, "noswitch-delta-pct")
-}
-
-// BenchmarkFig21RealWorld regenerates Figure 21: the Finance and
-// AutoDrive pipelines (paper: Finance 45.0/24.2/19.6%, AutoDrive
-// 41.4/34.5/21.9% overhead for conventional/ours/+subtree).
-func BenchmarkFig21RealWorld(b *testing.B) {
-	benchOpts(b)
-	cfg := benchCfg()
-	var finConv, finOurs, finBMF float64
-	for i := 0; i < b.N; i++ {
-		p := hetero.Finance()
-		finConv = 100 * (hetero.NormalizedPipeline(p, core.Conventional, cfg) - 1)
-		finOurs = 100 * (hetero.NormalizedPipeline(p, core.Ours, cfg) - 1)
-		finBMF = 100 * (hetero.NormalizedPipeline(p, core.BMFUnusedOurs, cfg) - 1)
-	}
-	b.ReportMetric(finConv, "finance-conv-pct")
-	b.ReportMetric(finOurs, "finance-ours-pct")
-	b.ReportMetric(finBMF, "finance-bmf+ours-pct")
-}
 
 // benchSweepWorkers runs the Fig. 15-style sweep on the parallel engine
 // with a fixed worker count; comparing the Workers1 and WorkersMax

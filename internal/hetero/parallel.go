@@ -32,20 +32,14 @@ type SweepOptions struct {
 	Progress func(SweepProgress)
 }
 
-// job is one unit of sweep work. scheme < 0 marks a scenario's unsecured
-// baseline run; otherwise scheme indexes the deduplicated scheme list.
-type job struct {
-	sc     int
-	scheme int
-}
-
 // SweepParallel runs every (scenario, scheme) pair of the sweep
-// concurrently on a worker pool. It is the engine behind Figures 15-19 at
-// full 250-scenario scale:
+// concurrently on a worker pool. It is the engine behind every scenario
+// experiment of internal/report, up to the full 250-scenario space:
 //
-//   - Each scenario's unsecured baseline is simulated exactly once and
-//     shared by all of its scheme runs (they only become runnable once the
-//     baseline finished, so no worker ever blocks waiting for one).
+//   - One flat queue holds every run, each scenario's unsecured baseline
+//     included, and is filled and closed before the workers start. The
+//     baseline is simulated exactly once per scenario; the scheme runs are
+//     normalized against it when the results are assembled.
 //   - Every sim.Engine is private to one run and the warmup passes are
 //     memoized under the full config fingerprint, so results are
 //     byte-identical to the sequential sweep regardless of worker count or
@@ -62,48 +56,31 @@ func SweepParallel(ctx context.Context, scs []Scenario, schemes []core.Scheme, c
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// The unsecured baseline is implicit; requesting it as a scheme is a
-	// no-op, as in the sequential sweep.
-	var list []core.Scheme
+	// Each scenario's runs are its baseline followed by the requested
+	// schemes; requesting the baseline as a scheme is a no-op.
+	list := []core.Scheme{core.Unsecure}
 	for _, s := range schemes {
 		if s != core.Unsecure {
 			list = append(list, s)
 		}
 	}
 
-	total := len(scs) * (1 + len(list))
+	total := len(scs) * len(list)
 	if total == 0 {
 		return []SweepResult{}, ctx.Err()
 	}
-	results := make([]SweepResult, len(scs))
-	runs := make([][]Normalized, len(scs))
-	for i := range runs {
-		runs[i] = make([]Normalized, len(list))
+	runs := make([]RunResult, total) // run k is (scs[k/len(list)], list[k%len(list)])
+	jobs := make(chan int, total)
+	for k := range total {
+		jobs <- k
 	}
+	close(jobs)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Every job the sweep will ever run is accounted in pending up front;
-	// scheme jobs enter the queue only after their scenario's baseline
-	// completes. The queue is sized for all jobs so sends never block, and
-	// it closes when pending hits zero. A cancelled or failed baseline
-	// retires its never-enqueued scheme jobs too, so the drain always
-	// terminates.
-	jobs := make(chan job, total)
-	var mu sync.Mutex
-	pending := total
-	retire := func(n int) {
-		mu.Lock()
-		pending -= n
-		closeNow := pending == 0
-		mu.Unlock()
-		if closeNow {
-			close(jobs)
-		}
-	}
-
 	start := time.Now() // wall clock feeds only the Progress callback (ETA display), never a result
+	var mu sync.Mutex
 	done := 0
 	var firstErr error
 	fail := func(err error) {
@@ -116,77 +93,43 @@ func SweepParallel(ctx context.Context, scs []Scenario, schemes []core.Scheme, c
 	}
 	complete := func() {
 		mu.Lock()
+		defer mu.Unlock()
 		done++
 		p := SweepProgress{Done: done, Total: total, Elapsed: time.Since(start)}
 		if done < total {
 			p.ETA = p.Elapsed / time.Duration(done) * time.Duration(total-done)
 		}
-		cb := opts.Progress
-		if cb != nil {
-			cb(p)
+		if opts.Progress != nil {
+			opts.Progress(p)
 		}
-		mu.Unlock()
 	}
-
-	runOne := func(j job) (err error) {
+	runOne := func(k int) (err error) {
+		sc, scheme := scs[k/len(list)], list[k%len(list)]
 		defer func() {
 			if r := recover(); r != nil {
-				err = fmt.Errorf("hetero: sweep run (%s, %v) panicked: %v",
-					scs[j.sc].ID, jobScheme(j, list), r)
+				err = fmt.Errorf("hetero: sweep run (%s, %v) panicked: %v", sc.ID, scheme, r)
 			}
 		}()
-		if j.scheme < 0 {
-			base := Run(scs[j.sc], core.Unsecure, cfg)
-			if base.Err != nil {
-				return base.Err
-			}
-			results[j.sc].Scenario = scs[j.sc]
-			results[j.sc].Unsecure = base
-			for si := range list {
-				jobs <- job{sc: j.sc, scheme: si}
-			}
-		} else {
-			res := Run(scs[j.sc], list[j.scheme], cfg)
-			if res.Err != nil {
-				return res.Err
-			}
-			runs[j.sc][j.scheme] = Normalize(res, results[j.sc].Unsecure)
-		}
-		return nil
+		runs[k] = Run(sc, scheme, cfg)
+		return runs[k].Err
 	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
+			for k := range jobs {
 				if ctx.Err() != nil {
-					// Drain: retire the job (and, for a baseline, its
-					// never-to-be-enqueued scheme jobs) without running it.
-					if j.scheme < 0 {
-						retire(1 + len(list))
-					} else {
-						retire(1)
-					}
-					continue
+					return
 				}
-				if err := runOne(j); err != nil {
+				if err := runOne(k); err != nil {
 					fail(err)
-					if j.scheme < 0 {
-						retire(1 + len(list))
-					} else {
-						retire(1)
-					}
-					continue
+					return
 				}
 				complete()
-				retire(1)
 			}
 		}()
-	}
-	for i := range scs {
-		jobs <- job{sc: i, scheme: -1}
 	}
 	wg.Wait()
 
@@ -199,19 +142,13 @@ func SweepParallel(ctx context.Context, scs []Scenario, schemes []core.Scheme, c
 
 	// Assemble in input order so the output is deterministic no matter
 	// which worker finished which run first.
-	for i := range results {
-		results[i].ByScheme = make(map[core.Scheme]Normalized, len(list))
-		for si, s := range list {
-			results[i].ByScheme[s] = runs[i][si]
+	results := make([]SweepResult, len(scs))
+	for i, sc := range scs {
+		rs := runs[i*len(list) : (i+1)*len(list)]
+		results[i] = SweepResult{Scenario: sc, Unsecure: rs[0], ByScheme: make(map[core.Scheme]Normalized, len(list)-1)}
+		for si, s := range list[1:] {
+			results[i].ByScheme[s] = Normalize(rs[1+si], rs[0])
 		}
 	}
 	return results, nil
-}
-
-// jobScheme names a job's scheme for error messages.
-func jobScheme(j job, list []core.Scheme) core.Scheme {
-	if j.scheme < 0 {
-		return core.Unsecure
-	}
-	return list[j.scheme]
 }

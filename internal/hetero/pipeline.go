@@ -79,18 +79,6 @@ func RunPipeline(p Pipeline, scheme core.Scheme, cfg Config) PipelineResult {
 	return res
 }
 
-// NormalizedPipeline returns the mean per-stage normalized execution time
-// of a scheme against the unsecured run (the Fig. 21 metric).
-func NormalizedPipeline(p Pipeline, scheme core.Scheme, cfg Config) float64 {
-	base := RunPipeline(p, core.Unsecure, cfg)
-	res := RunPipeline(p, scheme, cfg)
-	var sum float64
-	for i := range res.StageEndPs {
-		sum += float64(res.StageEndPs[i]) / float64(base.StageEndPs[i])
-	}
-	return sum / float64(len(res.StageEndPs))
-}
-
 // deviceIndexFor is a device class's slot in the scenario layout.
 func deviceIndexFor(c workload.Class) int {
 	switch c {

@@ -10,31 +10,25 @@ import (
 	"unimem/internal/stats"
 )
 
-// Probe-backed extension experiments. Both run the selected scenarios with
-// Config.Collect so every engine event is reduced into a probe.Summary,
-// then print the distributions the paper argues with but flat end-of-run
-// counters cannot show: the verification-path length histogram (Fig. 13)
-// and the DRAM-traffic split by metadata type (Fig. 5).
+// Probe-backed extension experiments. Both read one sweep of the selected
+// scenarios with Config.Collect, so every engine event is reduced into a
+// probe.Summary, then print the distributions the paper argues with but
+// flat end-of-run counters cannot show: the verification-path length
+// histogram (Fig. 13) and the DRAM-traffic split by metadata type
+// (Fig. 5). Their schemes are selectedSchemes: the conventional baseline,
+// the paper's scheme, and the fully composed one.
 
-// observeSchemes is the scheme set of the probe experiments: the
-// conventional baseline, the paper's scheme, and the fully composed one.
-var observeSchemes = []core.Scheme{core.Conventional, core.Ours, core.BMFUnusedOurs}
-
-// collectSelected runs the selected scenarios with collection on and merges
-// each scheme's summaries.
+// collectSelected merges each scheme's summaries over the collected sweep
+// of the selected scenarios.
 func collectSelected(o Options) map[core.Scheme]*probe.Summary {
-	cfg := o.cfg()
-	cfg.Collect = true
 	out := map[core.Scheme]*probe.Summary{}
-	for _, s := range observeSchemes {
-		agg := &probe.Summary{}
-		for _, sc := range hetero.SelectedScenarios() {
-			r := hetero.Run(sc, s, cfg)
-			if r.Probe != nil {
-				agg.Merge(r.Probe)
-			}
+	for _, s := range selectedSchemes {
+		out[s] = &probe.Summary{}
+	}
+	for _, r := range sweep(o, hetero.SelectedScenarios(), selectedSchemes, true) {
+		for _, s := range selectedSchemes {
+			out[s].Merge(r.ByScheme[s].Raw.Probe)
 		}
-		out[s] = agg
 	}
 	return out
 }
@@ -55,7 +49,7 @@ func ExtWalkLen(o Options) Figure {
 		cols = append(cols, fmt.Sprintf("L%d %%", l))
 	}
 	t := stats.NewTable(cols...)
-	for _, s := range observeSchemes {
+	for _, s := range selectedSchemes {
 		sum := sums[s]
 		row := []interface{}{s.String(), sum.Walks, sum.MeanWalkLevels()}
 		pct := func(v uint64) float64 {
@@ -90,7 +84,7 @@ func ExtBreakdown(o Options) Figure {
 	o = o.fill()
 	sums := collectSelected(o)
 	t := stats.NewTable("scheme", "total MB", "data %", "mac %", "counter %", "gtable %", "switch %", "overfetch beats", "mac merges")
-	for _, s := range observeSchemes {
+	for _, s := range selectedSchemes {
 		sum := sums[s]
 		t.Row(s.String(),
 			float64(sum.TotalBytes())/1e6,

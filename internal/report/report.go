@@ -1,7 +1,7 @@
 // Package report regenerates every table and figure of the paper's
-// evaluation section from the simulator, as printable tables. It is shared
-// by cmd/mgbench (which prints them) and the root bench suite (which
-// reports their headline metrics). The per-experiment index lives in
+// evaluation section from the simulator, as printable tables, for
+// cmd/mgbench to print. Every experiment that simulates scenarios reads
+// one memoized parallel sweep (sweep). The per-experiment index lives in
 // DESIGN.md; paper-versus-measured results live in EXPERIMENTS.md.
 package report
 
@@ -49,6 +49,17 @@ func (o Options) cfg() hetero.Config {
 func (o Options) scenarios() []hetero.Scenario {
 	return hetero.SampleScenarios(o.SampleN)
 }
+
+// The scheme sets of the experiments that share a sweep.
+var (
+	// priorSchemes: Fig. 15/16, and Table 2's Ours runs.
+	priorSchemes = []core.Scheme{core.Adaptive, core.CommonCTR, core.Ours, core.BMFUnused, core.BMFUnusedOurs}
+	// breakdownSchemes: Fig. 17/18.
+	breakdownSchemes = []core.Scheme{core.Conventional, core.StaticDeviceBest, core.MultiCTROnly, core.Ours, core.BMFUnusedOurs}
+	// selectedSchemes: Fig. 19, ext-latency and (collected) ext-walklen
+	// and ext-breakdown over the selected scenarios.
+	selectedSchemes = []core.Scheme{core.Conventional, core.Ours, core.BMFUnusedOurs}
+)
 
 // Figure is one regenerated experiment.
 type Figure struct {
@@ -127,10 +138,8 @@ func Fig05(o Options) Figure {
 
 	// Heterogeneous mix over the selected scenarios.
 	var macs, ctrs, totals []float64
-	for _, sc := range hetero.SelectedScenarios() {
-		base := hetero.Run(sc, core.Unsecure, cfg)
-		mo := hetero.Normalize(hetero.Run(sc, core.MACOnly, cfg), base)
-		cv := hetero.Normalize(hetero.Run(sc, core.Conventional, cfg), base)
+	for _, r := range sweep(o, hetero.SelectedScenarios(), []core.Scheme{core.MACOnly, core.Conventional}, false) {
+		mo, cv := r.ByScheme[core.MACOnly], r.ByScheme[core.Conventional]
 		macs = append(macs, mo.Mean-1)
 		ctrs = append(ctrs, cv.Mean-mo.Mean)
 		totals = append(totals, cv.Mean-1)
@@ -168,14 +177,12 @@ func Fig06(o Options) Figure {
 }
 
 // Table02 classifies granularity switches by the Table 2 taxonomy over the
-// scenario sweep under Ours.
+// scenario sweep under Ours (the Fig. 15/16 sweep's Ours runs).
 func Table02(o Options) Figure {
 	o = o.fill()
-	cfg := o.cfg()
 	var agg core.SwitchStats
-	for _, sc := range o.scenarios() {
-		r := hetero.Run(sc, core.Ours, cfg)
-		s := r.Switches
+	for _, r := range sweep(o, o.scenarios(), priorSchemes, false) {
+		s := r.ByScheme[core.Ours].Raw.Switches
 		agg.DownAll += s.DownAll
 		agg.UpWAR += s.UpWAR
 		agg.UpWAW += s.UpWAW
@@ -205,21 +212,26 @@ func Table02(o Options) Figure {
 	}
 }
 
-// sweep runs (and memoizes) a scheme sweep: Fig. 15/16 and Fig. 17/18
-// share their scenario sweeps, so regenerating all experiments does each
-// expensive sweep once. Sweeps run on the parallel engine; Workers and
-// Progress stay out of the memo key because they cannot change results.
-func sweep(o Options, schemes []core.Scheme) []hetero.SweepResult {
-	key := fmt.Sprintf("scale=%g seed=%d n=%d|%v", o.Scale, o.Seed, o.SampleN, schemes)
+// sweep runs (and memoizes) the schemes over the scenarios on the parallel
+// sweep engine, with a probe.Collector on every run when collect is set.
+// It is every scenario experiment's one path to the simulator, and
+// experiments that need the same runs name the same scenarios and schemes,
+// so regenerating all experiments does each sweep once. The key names
+// scenarios by ID; Workers and Progress stay out of it because they cannot
+// change results.
+func sweep(o Options, scs []hetero.Scenario, schemes []core.Scheme, collect bool) []hetero.SweepResult {
+	key := fmt.Sprintf("scale=%g seed=%d collect=%t|%v|%v", o.Scale, o.Seed, collect, scs, schemes)
 	sweepMu.Lock()
 	defer sweepMu.Unlock()
 	if rs, ok := sweepMemo[key]; ok {
 		return rs
 	}
-	rs, err := hetero.SweepParallel(context.Background(), o.scenarios(), schemes, o.cfg(),
+	cfg := o.cfg()
+	cfg.Collect = collect
+	rs, err := hetero.SweepParallel(context.Background(), scs, schemes, cfg,
 		hetero.SweepOptions{Workers: o.Workers, Progress: o.Progress})
 	if err != nil {
-		panic(err) // background context: only a panicking run lands here
+		panic(err) // background context: only a failed or panicking run lands here
 	}
 	sweepMemo[key] = rs
 	return rs
@@ -229,6 +241,15 @@ var (
 	sweepMu   sync.Mutex
 	sweepMemo = map[string][]hetero.SweepResult{}
 )
+
+// normalized returns a sweep entry's result for s; the unsecured baseline
+// normalizes against itself.
+func normalized(r hetero.SweepResult, s core.Scheme) hetero.Normalized {
+	if s == core.Unsecure {
+		return hetero.Normalize(r.Unsecure, r.Unsecure)
+	}
+	return r.ByScheme[s]
+}
 
 func cdfTable(rs []hetero.SweepResult, schemes []core.Scheme) *stats.Table {
 	t := stats.NewTable("scheme", "p10", "p25", "p50", "p75", "p90", "mean")
@@ -245,15 +266,14 @@ func cdfTable(rs []hetero.SweepResult, schemes []core.Scheme) *stats.Table {
 // prior dual-granularity and subtree schemes.
 func Fig15(o Options) Figure {
 	o = o.fill()
-	schemes := []core.Scheme{core.Adaptive, core.CommonCTR, core.Ours, core.BMFUnused, core.BMFUnusedOurs}
-	rs := sweep(o, schemes)
+	rs := sweep(o, o.scenarios(), priorSchemes, false)
 	ours := hetero.MeanAcross(rs, core.Ours)
 	adv := hetero.MeanAcross(rs, core.Adaptive)
 	cc := hetero.MeanAcross(rs, core.CommonCTR)
 	return Figure{
 		ID:    "fig15",
 		Title: "normalized execution time CDF vs prior studies",
-		Table: cdfTable(rs, schemes),
+		Table: cdfTable(rs, priorSchemes),
 		Notes: []string{
 			fmt.Sprintf("Ours vs Adaptive: %+.1f%% (paper: Ours 8.5%% better)", 100*(adv-ours)/adv),
 			fmt.Sprintf("Ours vs CommonCTR: %+.1f%% (paper: Ours 7.7%% better)", 100*(cc-ours)/cc),
@@ -265,10 +285,9 @@ func Fig15(o Options) Figure {
 // the prior-study comparison, normalized as in the paper.
 func Fig16(o Options) Figure {
 	o = o.fill()
-	schemes := []core.Scheme{core.Adaptive, core.CommonCTR, core.Ours, core.BMFUnused, core.BMFUnusedOurs}
-	rs := sweep(o, schemes)
+	rs := sweep(o, o.scenarios(), priorSchemes, false)
 	t := stats.NewTable("scheme", "norm exec", "traffic vs Ours", "misses vs Ours")
-	for _, s := range schemes {
+	for _, s := range priorSchemes {
 		t.Row(s.String(),
 			hetero.MeanAcross(rs, s),
 			hetero.TrafficRatioAcross(rs, s)/hetero.TrafficRatioAcross(rs, core.Ours),
@@ -284,15 +303,14 @@ func Fig16(o Options) Figure {
 // Fig17 is the CDF of the performance-breakdown scheme set.
 func Fig17(o Options) Figure {
 	o = o.fill()
-	schemes := []core.Scheme{core.Conventional, core.StaticDeviceBest, core.MultiCTROnly, core.Ours, core.BMFUnusedOurs}
-	rs := sweep(o, schemes)
+	rs := sweep(o, o.scenarios(), breakdownSchemes, false)
 	conv := hetero.MeanAcross(rs, core.Conventional)
 	ours := hetero.MeanAcross(rs, core.Ours)
 	bmf := hetero.MeanAcross(rs, core.BMFUnusedOurs)
 	return Figure{
 		ID:    "fig17",
 		Title: "performance-breakdown CDF (conventional -> ours -> +subtree)",
-		Table: cdfTable(rs, schemes),
+		Table: cdfTable(rs, breakdownSchemes),
 		Notes: []string{
 			fmt.Sprintf("Ours reduces conventional overhead %.1f%% -> %.1f%% (paper: 33.9%% -> 19.6%%)", 100*(conv-1), 100*(ours-1)),
 			fmt.Sprintf("BMF&Unused+Ours reduces it to %.1f%% (paper: 12.7%%)", 100*(bmf-1)),
@@ -304,10 +322,9 @@ func Fig17(o Options) Figure {
 // misses.
 func Fig18(o Options) Figure {
 	o = o.fill()
-	schemes := []core.Scheme{core.Conventional, core.StaticDeviceBest, core.MultiCTROnly, core.Ours, core.BMFUnusedOurs}
-	rs := sweep(o, schemes)
+	rs := sweep(o, o.scenarios(), breakdownSchemes, false)
 	t := stats.NewTable("scheme", "norm exec", "norm traffic", "misses vs conventional")
-	for _, s := range schemes {
+	for _, s := range breakdownSchemes {
 		t.Row(s.String(),
 			hetero.MeanAcross(rs, s),
 			hetero.TrafficRatioAcross(rs, s),
@@ -324,17 +341,12 @@ func Fig18(o Options) Figure {
 // scheme, the stream-chunk mix, and per-device execution times under Ours.
 func Fig19(o Options) Figure {
 	o = o.fill()
-	cfg := o.cfg()
 	t := stats.NewTable("scenario", "conv", "ours", "bmf+ours", "64B%", "32KB%", "cpu", "gpu", "npu1", "npu2")
 	var fine, coarse []float64
-	sel := hetero.SelectedScenarios()
-	for i, sc := range sel {
-		base := hetero.Run(sc, core.Unsecure, cfg)
-		cv := hetero.Normalize(hetero.Run(sc, core.Conventional, cfg), base)
-		ours := hetero.Normalize(hetero.Run(sc, core.Ours, cfg), base)
-		bmf := hetero.Normalize(hetero.Run(sc, core.BMFUnusedOurs, cfg), base)
-		mix := hetero.ScenarioChunkMix(sc, o.Scale, o.Seed)
-		t.Row(sc.ID, cv.Mean, ours.Mean, bmf.Mean,
+	for i, r := range sweep(o, hetero.SelectedScenarios(), selectedSchemes, false) {
+		cv, ours, bmf := r.ByScheme[core.Conventional], r.ByScheme[core.Ours], r.ByScheme[core.BMFUnusedOurs]
+		mix := hetero.ScenarioChunkMix(r.Scenario, o.Scale, o.Seed)
+		t.Row(r.Scenario.ID, cv.Mean, ours.Mean, bmf.Mean,
 			100*mix.Frac[meta.Gran64], 100*mix.Frac[meta.Gran32K],
 			ours.PerDevice[0], ours.PerDevice[1], ours.PerDevice[2], ours.PerDevice[3])
 		gain := (cv.Mean - ours.Mean) / cv.Mean
@@ -359,15 +371,13 @@ func Fig19(o Options) Figure {
 // the selected scenarios.
 func Fig20(o Options) Figure {
 	o = o.fill()
-	cfg := o.cfg()
 	schemes := []core.Scheme{core.Ours, core.OursDual, core.OursNoSwitch, core.BMFUnusedOursNoSwitch}
 	t := stats.NewTable("scenario", "ours", "dual", "w/o switch", "bmf+ours w/o switch")
 	means := map[core.Scheme][]float64{}
-	for _, sc := range hetero.SelectedScenarios() {
-		base := hetero.Run(sc, core.Unsecure, cfg)
-		row := []interface{}{sc.ID}
+	for _, r := range sweep(o, hetero.SelectedScenarios(), schemes, false) {
+		row := []interface{}{r.Scenario.ID}
 		for _, s := range schemes {
-			n := hetero.Normalize(hetero.Run(sc, s, cfg), base)
+			n := r.ByScheme[s]
 			row = append(row, n.Mean)
 			means[s] = append(means[s], n.Mean)
 		}
@@ -388,13 +398,21 @@ func Fig20(o Options) Figure {
 }
 
 // Fig21 runs the Table 6 real-world pipelines under the headline schemes.
+// Its metric is the mean per-stage execution time normalized to the
+// pipeline's unsecured run, which is simulated once per pipeline.
 func Fig21(o Options) Figure {
 	o = o.fill()
 	cfg := o.cfg()
 	t := stats.NewTable("application", "scheme", "norm exec")
 	for _, p := range []hetero.Pipeline{hetero.Finance(), hetero.AutoDrive()} {
+		base := hetero.RunPipeline(p, core.Unsecure, cfg)
 		for _, s := range []core.Scheme{core.Conventional, core.StaticDeviceBest, core.Ours, core.BMFUnusedOurs} {
-			t.Row(p.Name, s.String(), hetero.NormalizedPipeline(p, s, cfg))
+			res := hetero.RunPipeline(p, s, cfg)
+			var sum float64
+			for i, end := range res.StageEndPs {
+				sum += float64(end) / float64(base.StageEndPs[i])
+			}
+			t.Row(p.Name, s.String(), sum/float64(len(res.StageEndPs)))
 		}
 	}
 	return Figure{
@@ -430,14 +448,14 @@ func IDs() []string {
 // the tail a latency-sensitive CPU sees behind an NPU burst.
 func ExtLatency(o Options) Figure {
 	o = o.fill()
-	cfg := o.cfg()
+	rs := sweep(o, hetero.SelectedScenarios(), selectedSchemes, false)
 	t := stats.NewTable("scheme", "p50 ns", "p90 ns", "p99 ns", "cpu mean ns", "cpu max us")
-	for _, s := range []core.Scheme{core.Unsecure, core.Conventional, core.Ours, core.BMFUnusedOurs} {
+	for _, s := range append([]core.Scheme{core.Unsecure}, selectedSchemes...) {
 		var lat core.LatencyHistogram
 		var cpuMean, cpuMax float64
 		n := 0
-		for _, sc := range hetero.SelectedScenarios() {
-			r := hetero.Run(sc, s, cfg)
+		for _, sr := range rs {
+			r := normalized(sr, s).Raw
 			for b, v := range r.Latency {
 				lat[b] += v
 			}
@@ -465,13 +483,12 @@ func ExtLatency(o Options) Figure {
 // package: the row set IS the registry.
 func ExtMatrix(o Options) Figure {
 	o = o.fill()
-	cfg := o.cfg()
 	sc := hetero.Scenario{ID: "npuheavy", CPU: "xal", GPU: "mm", NPU1: "alex", NPU2: "dlrm"}
-	base := hetero.Run(sc, core.Unsecure, cfg)
+	r := sweep(o, []hetero.Scenario{sc}, core.Schemes, false)[0]
 	t := stats.NewTable("scheme", "origin", "norm exec", "meta %", "mean walk")
 	for _, s := range core.Schemes {
-		res := hetero.Run(sc, s, cfg)
-		n := hetero.Normalize(res, base)
+		n := normalized(r, s)
+		res := n.Raw
 		origin := "paper"
 		if s.IsExtension() {
 			origin = "extension"

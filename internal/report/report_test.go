@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,6 +12,10 @@ import (
 // tiny keeps report tests fast; shape assertions stay loose at this scale.
 var tiny = Options{Scale: 0.04, Seed: 1, SampleN: 6}
 
+// TestIDsResolve runs every experiment and pins the sweeps behind them:
+// experiments that need the same runs read one memoized sweep (Fig. 15/16
+// and Table 2; Fig. 17/18; Fig. 19 and ext-latency; the collected one of
+// ext-walklen and ext-breakdown), so all 15 make seven sweeps.
 func TestIDsResolve(t *testing.T) {
 	for _, id := range IDs() {
 		if _, err := ByID(id, tiny); err != nil {
@@ -19,6 +24,18 @@ func TestIDsResolve(t *testing.T) {
 	}
 	if _, err := ByID("fig99", tiny); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+	prefix := fmt.Sprintf("scale=%g seed=%d ", tiny.Scale, tiny.Seed)
+	var keys []string
+	sweepMu.Lock()
+	for k := range sweepMemo {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
+	}
+	sweepMu.Unlock()
+	if len(keys) != 7 {
+		t.Fatalf("%d sweeps, want 7:\n%s", len(keys), strings.Join(keys, "\n"))
 	}
 }
 
@@ -59,7 +76,7 @@ func TestFig17OrderingHolds(t *testing.T) {
 	// The headline ordering must hold even at test scale:
 	// BMF&Unused+Ours <= Ours <= some margin of Conventional.
 	o := Options{Scale: 0.08, Seed: 1, SampleN: 8}
-	rs := sweep(o, []core.Scheme{core.Conventional, core.Ours, core.BMFUnusedOurs})
+	rs := sweep(o, o.scenarios(), []core.Scheme{core.Conventional, core.Ours, core.BMFUnusedOurs}, false)
 	conv := hetero.MeanAcross(rs, core.Conventional)
 	ours := hetero.MeanAcross(rs, core.Ours)
 	bmf := hetero.MeanAcross(rs, core.BMFUnusedOurs)
@@ -71,10 +88,19 @@ func TestFig17OrderingHolds(t *testing.T) {
 func TestSweepMemoized(t *testing.T) {
 	o := Options{Scale: 0.03, Seed: 2, SampleN: 2}
 	schemes := []core.Scheme{core.Conventional}
-	a := sweep(o, schemes)
-	b := sweep(o, schemes)
+	a := sweep(o, o.scenarios(), schemes, false)
+	b := sweep(o, o.scenarios(), schemes, false)
 	if &a[0] != &b[0] {
 		t.Fatal("sweep not memoized")
+	}
+	// The collector and the scenario list are part of the key.
+	c := sweep(o, o.scenarios(), schemes, true)
+	if &c[0] == &a[0] || a[0].ByScheme[core.Conventional].Raw.Probe != nil || c[0].ByScheme[core.Conventional].Raw.Probe == nil {
+		t.Fatal("the collected sweep and the plain one share an entry")
+	}
+	sel := hetero.SelectedScenarios()[:1]
+	if d := sweep(o, sel, schemes, false); len(d) != 1 || d[0].Scenario.ID != sel[0].ID {
+		t.Fatalf("sweep over %s returned %v", sel[0].ID, d)
 	}
 }
 
