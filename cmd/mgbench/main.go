@@ -60,6 +60,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "-scale must be positive, got %v\n", *scale)
 		return 2
 	}
+	if *sample < 0 {
+		fmt.Fprintf(stderr, "-sample must not be negative, got %d\n", *sample)
+		return 2
+	}
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "-workers must not be negative, got %d\n", *workers)
+		return 2
+	}
 	if *cpuprofile != "" {
 		stop, err := startCPUProfile(*cpuprofile)
 		if err != nil {
