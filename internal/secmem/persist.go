@@ -191,7 +191,10 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 		}
 		m.counters[counterKey{int(level), entry}] = val
 	}
-	readMACs := func(dst map[uint64]crypto.MAC) error {
+	// readMACs reads one MAC section, whose keys must be addresses in
+	// [lo, hi) aligned to align: data MACs live at MAC slots, node MACs at
+	// counter lines.
+	readMACs := func(dst map[uint64]crypto.MAC, what string, lo, hi, align uint64) error {
 		n, err := read()
 		if err != nil {
 			return err
@@ -201,6 +204,9 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 			if err != nil {
 				return err
 			}
+			if addr < lo || addr >= hi || addr%align != 0 {
+				return fmt.Errorf("%w: %s MAC at %#x outside [%#x,%#x) or not %dB aligned", ErrImageFormat, what, addr, lo, hi, align)
+			}
 			var mac crypto.MAC
 			if _, err := io.ReadFull(br, mac[:]); err != nil {
 				return err
@@ -209,10 +215,10 @@ func Load(r io.Reader, seed uint64, roots []uint64) (*Memory, error) {
 		}
 		return nil
 	}
-	if err := readMACs(m.macs); err != nil {
+	if err := readMACs(m.macs, "data", m.geom.MACBase, m.geom.CounterBase, meta.MACSize); err != nil {
 		return nil, err
 	}
-	if err := readMACs(m.nodeMACs); err != nil {
+	if err := readMACs(m.nodeMACs, "node", m.geom.CounterBase, m.geom.GTBase, meta.BlockSize); err != nil {
 		return nil, err
 	}
 	if n, err = read(); err != nil {

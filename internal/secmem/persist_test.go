@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"unimem/internal/crypto"
 	"unimem/internal/meta"
 )
 
@@ -225,6 +226,34 @@ func TestLoadRejectsDataBlockOutsideRegion(t *testing.T) {
 		m := newMem()
 		mustWrite(t, m, 0, block(1))
 		m.data[addr] = [meta.BlockSize]byte{1}
+		if err := saveLoad(t, m); !errors.Is(err, ErrImageFormat) {
+			t.Errorf("%s: err = %v, want ErrImageFormat", name, err)
+		}
+	}
+}
+
+// TestLoadRejectsDataMACOutsideRegion: a data MAC lies outside the MAC
+// region or off an 8B slot boundary.
+func TestLoadRejectsDataMACOutsideRegion(t *testing.T) {
+	g := meta.NewGeometry(region)
+	for name, addr := range map[string]uint64{"0": 0, "first slot past the end": g.CounterBase, "2^40": 1 << 40, "misaligned": g.MACBase + 4} {
+		m := newMem()
+		mustWrite(t, m, 0, block(1))
+		m.macs[addr] = crypto.MAC{1}
+		if err := saveLoad(t, m); !errors.Is(err, ErrImageFormat) {
+			t.Errorf("%s: err = %v, want ErrImageFormat", name, err)
+		}
+	}
+}
+
+// TestLoadRejectsNodeMACOutsideTree: a tree-node MAC lies outside the
+// counter region or off a 64B line boundary.
+func TestLoadRejectsNodeMACOutsideTree(t *testing.T) {
+	g := meta.NewGeometry(region)
+	for name, addr := range map[string]uint64{"0": 0, "first line past the end": g.GTBase, "2^40": 1 << 40, "misaligned": g.CounterBase + 8} {
+		m := newMem()
+		mustWrite(t, m, 0, block(1))
+		m.nodeMACs[addr] = crypto.MAC{1}
 		if err := saveLoad(t, m); !errors.Is(err, ErrImageFormat) {
 			t.Errorf("%s: err = %v, want ErrImageFormat", name, err)
 		}
