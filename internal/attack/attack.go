@@ -105,7 +105,7 @@ func ClassNames() []string {
 
 // rng is a xorshift64* generator, the package's own deterministic PRNG:
 // identical seeds replay identical campaigns, which the soak's failure
-// artifacts depend on (see Artifact).
+// artifacts depend on (see the soak test).
 type rng struct{ s uint64 }
 
 func newRNG(seed uint64) *rng {

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -43,7 +44,7 @@ func TestSoak(t *testing.T) {
 					t.Parallel()
 					res := Run(cfg)
 					if m := Verdict(cfg, res); m != "" {
-						path, err := NewArtifact(cfg, res, m).Save(t.TempDir())
+						path, err := newArtifact(cfg, res, m).save(t.TempDir())
 						if err != nil {
 							t.Logf("artifact write failed: %v", err)
 						}
@@ -62,11 +63,11 @@ func TestSoak(t *testing.T) {
 // replay reproduces the recorded Result bit for bit.
 func TestReplayArtifact(t *testing.T) {
 	if path := os.Getenv("ATTACK_ARTIFACT"); path != "" {
-		a, err := LoadArtifact(path)
+		a, err := loadArtifact(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := a.Replay()
+		res := a.replay()
 		t.Logf("replayed %s x %s seed=%#x: landed=%v detected=%v diverged=%v err=%q",
 			a.SchemeName, a.ClassName, a.Config.Seed, res.Landed, res.Detected, res.Diverged, res.Err)
 		if m := Verdict(a.Config, res); m != "" {
@@ -77,19 +78,19 @@ func TestReplayArtifact(t *testing.T) {
 
 	cfg := Config{Scheme: core.Ours, Class: XGranSplice, Seed: 0xabcdef}
 	res := Run(cfg)
-	art := NewArtifact(cfg, res, "synthetic")
-	path, err := art.Save(t.TempDir())
+	art := newArtifact(cfg, res, "synthetic")
+	path, err := art.save(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadArtifact(path)
+	loaded, err := loadArtifact(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Config != cfg {
 		t.Fatalf("config round-trip drifted: %+v != %+v", loaded.Config, cfg)
 	}
-	got, want := loaded.Replay(), res
+	got, want := loaded.replay(), res
 	gb, _ := json.Marshal(got)
 	wb, _ := json.Marshal(want)
 	if string(gb) != string(wb) {
@@ -114,3 +115,64 @@ func TestRunDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// artifact is a replayable capture of one campaign: the exact Config that
+// produced a result plus the observed outcome and schedule. Because Run is
+// deterministic in Config, loading an artifact and re-running its Config
+// reproduces the failure bit for bit — the soak's failure hand-off.
+type artifact struct {
+	// SchemeName / ClassName are the human-readable redundant labels
+	// (Config carries the numeric values the replay uses).
+	SchemeName string `json:"scheme_name"`
+	ClassName  string `json:"class_name"`
+	Config     Config `json:"config"`
+	// Mismatch is the Verdict text that failed the campaign.
+	Mismatch string `json:"mismatch"`
+	Result   Result `json:"result"`
+}
+
+// newArtifact packages a failed campaign for replay.
+func newArtifact(cfg Config, res Result, mismatch string) *artifact {
+	return &artifact{
+		SchemeName: cfg.Scheme.String(),
+		ClassName:  cfg.Class.String(),
+		Config:     cfg,
+		Mismatch:   mismatch,
+		Result:     res,
+	}
+}
+
+// save writes the artifact as indented JSON to a fresh temp file and
+// returns its path.
+func (a *artifact) save(dir string) (string, error) {
+	f, err := os.CreateTemp(dir, "attack-campaign-*.json")
+	if err != nil {
+		return "", err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(a); err != nil {
+		_ = f.Close()
+		return "", fmt.Errorf("attack: write artifact: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return "", fmt.Errorf("attack: write artifact: %w", err)
+	}
+	return f.Name(), nil
+}
+
+// loadArtifact reads a saved campaign artifact.
+func loadArtifact(path string) (*artifact, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var a artifact
+	if err := json.Unmarshal(b, &a); err != nil {
+		return nil, fmt.Errorf("attack: parse artifact %s: %w", path, err)
+	}
+	return &a, nil
+}
+
+// replay re-runs the artifact's campaign and reports the fresh result.
+func (a *artifact) replay() Result { return Run(a.Config) }

@@ -119,14 +119,13 @@ type Stats struct {
 
 // Engine is the timing model of the unified memory-protection engine.
 type Engine struct {
-	se     *sim.Engine
-	mm     *mem.Memory
-	geom   *meta.Geometry
-	scheme Scheme
-	spec   Spec     // the registry row's traits
-	ctr    granRule // the row's counter-side unit rule
-	mac    granRule // the row's MAC-side unit rule
-	opts   Options
+	se   *sim.Engine
+	mm   *mem.Memory
+	geom *meta.Geometry
+	spec Spec     // the registry row's traits
+	ctr  granRule // the row's counter-side unit rule
+	mac  granRule // the row's MAC-side unit rule
+	opts Options
 
 	table     *meta.Table
 	trk       *tracker.Tracker
@@ -172,7 +171,6 @@ func New(se *sim.Engine, mm *mem.Memory, regionBytes uint64, scheme Scheme, opts
 		se:           se,
 		mm:           mm,
 		geom:         meta.NewGeometry(regionBytes),
-		scheme:       scheme,
 		spec:         spec,
 		ctr:          row.ctr,
 		mac:          row.mac,
@@ -215,9 +213,6 @@ func New(se *sim.Engine, mm *mem.Memory, regionBytes uint64, scheme Scheme, opts
 	return e
 }
 
-// Scheme returns the configured scheme.
-func (e *Engine) Scheme() Scheme { return e.scheme }
-
 // Geometry returns the metadata layout.
 func (e *Engine) Geometry() *meta.Geometry { return e.geom }
 
@@ -238,20 +233,6 @@ func (e *Engine) SecurityCacheMisses() uint64 {
 		n += e.gtCache.Stats.Misses
 	}
 	return n
-}
-
-// CacheStats exposes the individual security caches (may be nil).
-func (e *Engine) CacheStats() (metaC, macC, gtC *cache.Stats) {
-	if e.metaCache != nil {
-		metaC = &e.metaCache.Stats
-	}
-	if e.macCache != nil {
-		macC = &e.macCache.Stats
-	}
-	if e.gtCache != nil {
-		gtC = &e.gtCache.Stats
-	}
-	return
 }
 
 // MeanWalkLevels returns the average integrity-tree validation path length.

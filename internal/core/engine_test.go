@@ -116,7 +116,7 @@ func TestPromotedWalkShorter(t *testing.T) {
 	tbl.CommitAll(0)
 	r := newRig(PerPartitionOracle, Options{FixedTable: tbl})
 	r.do(Request{Addr: 0, Size: meta.ChunkSize})
-	if got, want := int(r.en.Stats.WalkLevels), r.en.Geometry().WalkLen(meta.Gran32K); got != want {
+	if got, want := int(r.en.Stats.WalkLevels), r.en.Geometry().Levels()-meta.Gran32K.Level(); got != want {
 		t.Fatalf("promoted walk levels = %d, want %d", got, want)
 	}
 }
@@ -385,9 +385,11 @@ func TestSecurityCacheMissesCounted(t *testing.T) {
 	if r.en.SecurityCacheMisses() == 0 {
 		t.Fatal("cold access produced no security cache misses")
 	}
-	mc, xc, gc := r.en.CacheStats()
-	if mc == nil || xc == nil || gc == nil {
-		t.Fatal("cache stats missing")
+	if r.en.metaCache == nil || r.en.macCache == nil || r.en.gtCache == nil {
+		t.Fatal("Ours runs without one of its three security caches")
+	}
+	if sum := r.en.metaCache.Stats.Misses + r.en.macCache.Stats.Misses + r.en.gtCache.Stats.Misses; sum != r.en.SecurityCacheMisses() {
+		t.Fatalf("security-cache misses %d, the three caches miss %d", r.en.SecurityCacheMisses(), sum)
 	}
 }
 

@@ -160,7 +160,7 @@ func TestWalkDepthPerGranularity(t *testing.T) {
 		tbl.CommitAll(0)
 		r := newRig(PerPartitionOracle, Options{FixedTable: tbl})
 		r.do(Request{Addr: 0, Size: int(g.Bytes())})
-		want := r.en.Geometry().WalkLen(g)
+		want := r.en.Geometry().Levels() - g.Level()
 		if got := int(r.en.Stats.WalkLevels); got != want {
 			t.Errorf("%v: cold walk %d levels, want %d", g, got, want)
 		}

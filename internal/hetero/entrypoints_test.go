@@ -47,9 +47,10 @@ func TestGoldenEntryPoints(t *testing.T) {
 	}
 	for _, id := range []string{"ff1", "c1", "cc1"} {
 		sc := byID[id]
-		tbl := profileTable(sc.placements(cfg.Seed), cfg)
+		ps := sc.placements(cfg.Seed)
+		tbl := profileTable(ps, cfg)
 		fmt.Fprintf(&b, "warmup %s static=%v profile=%d/%s\n",
-			id, BestStaticGrans(sc, cfg), tbl.Chunks(), digest(tbl))
+			id, staticGrans(ps, cfg), tbl.Chunks(), digest(tbl))
 		for _, s := range core.Schemes {
 			r := Run(sc, s, cfg)
 			ps := r.Probe

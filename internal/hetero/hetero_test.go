@@ -2,6 +2,7 @@ package hetero
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"unimem/internal/core"
@@ -153,14 +154,18 @@ func TestSweepStructure(t *testing.T) {
 }
 
 func TestBestStaticGransCachedAndSane(t *testing.T) {
-	sc := SelectedScenarios()[0]
-	g1 := BestStaticGrans(sc, testCfg)
-	g2 := BestStaticGrans(sc, testCfg)
+	ps := SelectedScenarios()[0].placements(testCfg.Seed)
+	g1 := staticGrans(ps, testCfg)
+	entries := len(staticBest.m)
+	g2 := staticGrans(ps, testCfg)
+	if len(staticBest.m) != entries {
+		t.Fatal("second static search missed the memo")
+	}
 	for i := range g1 {
 		if g1[i] != g2[i] {
 			t.Fatal("static search not deterministic")
 		}
-		if !g1[i].Valid() {
+		if !slices.Contains(meta.Grans[:], g1[i]) {
 			t.Fatalf("invalid granularity %v", g1[i])
 		}
 	}

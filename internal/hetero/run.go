@@ -332,15 +332,9 @@ func profileTable(ps []placement, cfg Config) *meta.Table {
 	return t.CloneCommitted()
 }
 
-// BestStaticGrans runs each of the scenario's workloads standalone under
-// every static granularity and returns the per-device best (the
-// exhaustive warmup search the paper charges against Static-device-best).
-// It panics on an unknown workload name.
-func BestStaticGrans(sc Scenario, cfg Config) []meta.Gran {
-	return staticGrans(sc.placements(cfg.Seed), cfg)
-}
-
-// staticGrans returns the best static granularity per device slot.
+// staticGrans runs each placement's workload standalone under every static
+// granularity and returns the best one per device slot (the exhaustive
+// warmup search the paper charges against Static-device-best).
 func staticGrans(ps []placement, cfg Config) []meta.Gran {
 	out := make([]meta.Gran, devices(ps))
 	for _, p := range ps {
@@ -405,10 +399,4 @@ func RunStandalone(name string, scheme core.Scheme, cfg Config) StandaloneResult
 		Misses:     r.SecCacheMisses,
 		Probe:      r.Probe,
 	}
-}
-
-// FilledMem returns the memory configuration a run would use (the Orin
-// default unless overridden), for callers that want to tweak it.
-func (c Config) FilledMem() mem.Config {
-	return *c.filled().Mem
 }

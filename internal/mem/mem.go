@@ -166,8 +166,3 @@ func (m *Memory) access(addr uint64, size int, kind Kind, write bool, done func(
 		m.eng.At(last+sim.Time(m.cfg.LatencyPs), done)
 	}
 }
-
-// PeakBandwidthBytesPerSec returns the configured aggregate bandwidth.
-func (m *Memory) PeakBandwidthBytesPerSec() float64 {
-	return float64(m.cfg.Channels) * float64(BlockSize) / (float64(m.cfg.SlotPs) * 1e-12)
-}

@@ -51,12 +51,27 @@ func FuzzMACSlot(f *testing.F) {
 	})
 }
 
+// counterSlot is the slot (0..7) of blockIdx's counter within its level-th
+// line: the Eq. 3 entry index modulo the arity.
+func counterSlot(g *Geometry, level int, blockIdx uint64) int {
+	return int(g.CounterEntryIndex(level, blockIdx) % Arity)
+}
+
+// rootSlot is the on-chip root register guarding blockIdx's top-most
+// stored line: that line's index, the top level's entry index divided by
+// the arity.
+func rootSlot(g *Geometry, blockIdx uint64) int {
+	return int(blockIdx >> (3 * uint(g.Levels())))
+}
+
 // FuzzGeometryEqs fuzzes the Eq. 1-4 metadata address computation across
 // region sizes: parent-index division (Eq. 3), counter lines confined to the
-// counter region and ascending with level (Eq. 4), and compacted MAC
-// addresses confined to the MAC region (Eq. 1) with the granularity the
-// encoding assigns the block. It states the tree walker's fetch order: a
-// walk fetches these lines level by level, so its fetches ascend.
+// counter region and ascending with level (Eq. 4), each counter's slot inside
+// its line and the top line's root register inside the on-chip roots, and
+// compacted MAC addresses confined to the MAC region (Eq. 1) with the
+// granularity the encoding assigns the block. It states the tree walker's
+// fetch order: a walk fetches these lines level by level, so its fetches
+// ascend.
 func FuzzGeometryEqs(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(0))
 	f.Add(uint64(128), uint64(511), uint64(AllStream))
@@ -94,6 +109,22 @@ func FuzzGeometryEqs(f *testing.F) {
 					chunks, blockIdx, level, a, prev)
 			}
 			prev = a
+			// The slot's line is the counter line Eq. 4 names: the entry's
+			// line base plus the slot recovers the entry index.
+			slot := counterSlot(g, level, blockIdx)
+			if slot < 0 || slot >= Arity {
+				t.Fatalf("chunks=%d block=%d level=%d: counter slot %d outside [0,%d)", chunks, blockIdx, level, slot, Arity)
+			}
+			if line := (a - g.CounterLineAddr(level, 0)) / BlockSize; line*Arity+uint64(slot) != g.CounterEntryIndex(level, blockIdx) {
+				t.Fatalf("chunks=%d block=%d level=%d: line %d slot %d is not entry %d",
+					chunks, blockIdx, level, line, slot, g.CounterEntryIndex(level, blockIdx))
+			}
+		}
+		if r := rootSlot(g, blockIdx); r < 0 || r >= g.RootEntries() {
+			t.Fatalf("chunks=%d block=%d: root slot %d outside [0,%d)", chunks, blockIdx, r, g.RootEntries())
+		}
+		if top := g.Levels() - 1; uint64(rootSlot(g, blockIdx)) != g.CounterEntryIndex(top, blockIdx)/Arity {
+			t.Fatalf("chunks=%d block=%d: root slot %d does not guard the top line", chunks, blockIdx, rootSlot(g, blockIdx))
 		}
 
 		dataAddr := blockIdx * BlockSize

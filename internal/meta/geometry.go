@@ -75,9 +75,6 @@ func (g *Geometry) Blocks() uint64 { return g.nBlocks }
 // Chunks returns the number of 32KB chunks in the region.
 func (g *Geometry) Chunks() uint64 { return g.RegionBytes / ChunkSize }
 
-// MetadataBytes returns the total metadata footprint (MACs + tree + table).
-func (g *Geometry) MetadataBytes() uint64 { return g.End - g.MACBase }
-
 // CounterEntries returns the number of counter entries at a stored level.
 func (g *Geometry) CounterEntries(level int) uint64 {
 	g.checkLevel(level)
@@ -103,19 +100,6 @@ func (g *Geometry) CounterLineAddr(level int, blockIdx uint64) uint64 {
 	g.checkLevel(level)
 	entry := g.CounterEntryIndex(level, blockIdx)
 	return g.CounterBase + g.levelOffset[level] + (entry/Arity)*BlockSize
-}
-
-// CounterSlot returns the slot (0..7) of blockIdx's counter within its
-// level-th line.
-func (g *Geometry) CounterSlot(level int, blockIdx uint64) int {
-	return int(g.CounterEntryIndex(level, blockIdx) % Arity)
-}
-
-// RootSlot returns the on-chip root register index guarding blockIdx's
-// top-most stored line. It is always below RootEntries() because each
-// level-l entry index is the level-(l-1) index divided by Arity.
-func (g *Geometry) RootSlot(blockIdx uint64) int {
-	return int(blockIdx >> (3 * uint(g.levels)))
 }
 
 // MACLineAddr returns the address of the 64B MAC cacheline holding the
@@ -144,15 +128,4 @@ func (g *Geometry) MACAddrFor(addr uint64, sp StreamPart) (uint64, Gran) {
 // GTEntryAddr returns the address of the chunk's granularity-table entry.
 func (g *Geometry) GTEntryAddr(chunkIdx uint64) uint64 {
 	return g.GTBase + chunkIdx*GTEntrySize
-}
-
-// WalkLen returns the number of stored tree levels a verification walk
-// touches when it starts at the counter level of gran: Levels()-gran.Level()
-// (the multi-granular tree prunes gran.Level() levels, Fig. 10).
-func (g *Geometry) WalkLen(gran Gran) int {
-	n := g.levels - gran.Level()
-	if n < 0 {
-		return 0
-	}
-	return n
 }

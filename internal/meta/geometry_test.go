@@ -74,11 +74,11 @@ func TestCounterAddressing(t *testing.T) {
 	if addr := g.CounterLineAddr(0, 9); addr != g.CounterBase+64 {
 		t.Fatal("L0 line of block 9 wrong")
 	}
-	if slot := g.CounterSlot(0, 9); slot != 1 {
+	if slot := counterSlot(g, 0, 9); slot != 1 {
 		t.Fatalf("slot = %d, want 1", slot)
 	}
 	// Level 1: one counter per 512B; block 9 -> entry 1 -> line 0 slot 1.
-	if slot := g.CounterSlot(1, 9); slot != 1 {
+	if slot := counterSlot(g, 1, 9); slot != 1 {
 		t.Fatalf("L1 slot = %d, want 1", slot)
 	}
 }
@@ -105,7 +105,7 @@ func TestCounterLevelArraysDisjoint(t *testing.T) {
 func TestRootSlotBounded(t *testing.T) {
 	g := smallGeom()
 	for blk := uint64(0); blk < g.Blocks(); blk += 977 {
-		if s := g.RootSlot(blk); s < 0 || s >= g.RootEntries() {
+		if s := rootSlot(g, blk); s < 0 || s >= g.RootEntries() {
 			t.Fatalf("root slot %d out of [0,%d)", s, g.RootEntries())
 		}
 	}
@@ -153,12 +153,15 @@ func TestMACSlotRangePanics(t *testing.T) {
 	g.MACLineAddr(0, BlocksPerChunk)
 }
 
+// TestWalkLen: a walk that starts at gran's counter level touches
+// Levels()-gran.Level() stored levels (the multi-granular tree prunes
+// gran.Level() levels, Fig. 10).
 func TestWalkLen(t *testing.T) {
 	g := smallGeom() // 4 stored levels
 	want := map[Gran]int{Gran64: 4, Gran512: 3, Gran4K: 2, Gran32K: 1}
 	for gran, n := range want {
-		if got := g.WalkLen(gran); got != n {
-			t.Errorf("WalkLen(%v) = %d, want %d", gran, got, n)
+		if got := g.Levels() - gran.Level(); got != n {
+			t.Errorf("walk from %v = %d levels, want %d", gran, got, n)
 		}
 	}
 }

@@ -44,7 +44,6 @@ const (
 	Gran512
 	Gran4K
 	Gran32K
-	nGran
 )
 
 // Grans lists all granularities fine to coarse.
@@ -60,9 +59,6 @@ func (g Gran) Blocks() int { return 1 << (3 * uint(g)) }
 // level at which the shared counter of this granularity lives.
 func (g Gran) Level() int { return int(g) }
 
-// Valid reports whether g is one of the four candidates.
-func (g Gran) Valid() bool { return g < nGran }
-
 // String returns the human-readable size.
 func (g Gran) String() string {
 	switch g {
@@ -76,16 +72,6 @@ func (g Gran) String() string {
 		return "32KB"
 	}
 	return fmt.Sprintf("Gran(%d)", uint8(g))
-}
-
-// GranForBytes returns the granularity whose size is n bytes.
-func GranForBytes(n uint64) (Gran, bool) {
-	for _, g := range Grans {
-		if g.Bytes() == n {
-			return g, true
-		}
-	}
-	return Gran64, false
 }
 
 // Address decomposition helpers. Addresses are byte addresses into the

@@ -30,24 +30,9 @@ func TestGranBlocks(t *testing.T) {
 	}
 }
 
-func TestGranForBytes(t *testing.T) {
-	for _, g := range Grans {
-		got, ok := GranForBytes(g.Bytes())
-		if !ok || got != g {
-			t.Errorf("GranForBytes(%d) = %v,%v", g.Bytes(), got, ok)
-		}
-	}
-	if _, ok := GranForBytes(128); ok {
-		t.Error("GranForBytes(128) accepted a non-candidate size")
-	}
-}
-
 func TestGranString(t *testing.T) {
 	if Gran32K.String() != "32KB" || Gran(9).String() == "32KB" {
 		t.Error("Gran.String broken")
-	}
-	if !Gran4K.Valid() || Gran(4).Valid() {
-		t.Error("Gran.Valid broken")
 	}
 }
 

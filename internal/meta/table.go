@@ -111,9 +111,6 @@ func (t *Table) CommitAll(chunk uint64) {
 // Chunks returns the number of chunks with a non-default current encoding.
 func (t *Table) Chunks() int { return len(t.cur) }
 
-// PendingChunks returns the number of chunks with an unapplied detection.
-func (t *Table) PendingChunks() int { return len(t.next) }
-
 // CloneCommitted returns a copy of the table with every pending detection
 // applied — the per-partition-best oracle input derived from a profiling
 // run.

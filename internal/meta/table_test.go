@@ -35,7 +35,7 @@ func TestSetNextThenLazyCommit(t *testing.T) {
 	if tb.Current(7) != StreamPart(0b11) {
 		t.Fatal("second unit not committed")
 	}
-	if tb.PendingChunks() != 0 {
+	if len(tb.next) != 0 {
 		t.Fatal("fully committed chunk still pending")
 	}
 }
@@ -72,7 +72,7 @@ func TestSetNextEqualCurrentClearsPending(t *testing.T) {
 	tb := NewTable()
 	tb.SetNext(2, StreamPart(0b1))
 	tb.SetNext(2, 0) // detection reverts before any access
-	if tb.PendingChunks() != 0 {
+	if len(tb.next) != 0 {
 		t.Fatal("pending not cleared when next == current")
 	}
 }
@@ -81,7 +81,7 @@ func TestCommitAll(t *testing.T) {
 	tb := NewTable()
 	tb.SetNext(4, AllStream)
 	tb.CommitAll(4)
-	if tb.Current(4) != AllStream || tb.PendingChunks() != 0 {
+	if tb.Current(4) != AllStream || len(tb.next) != 0 {
 		t.Fatal("CommitAll broken")
 	}
 }
@@ -132,7 +132,7 @@ func TestCommitConvergesProperty(t *testing.T) {
 		if tb.Current(3) != next {
 			t.Fatalf("seed %d: current %#x, want %#x", seed, uint64(tb.Current(3)), uint64(next))
 		}
-		if tb.PendingChunks() != 0 {
+		if len(tb.next) != 0 {
 			t.Fatalf("seed %d: still pending after full commit", seed)
 		}
 	}

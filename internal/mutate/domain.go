@@ -37,7 +37,6 @@ var funcPartner = map[string]string{
 
 	"Geometry.Blocks":            "Geometry.Chunks",
 	"Geometry.Chunks":            "Geometry.Blocks",
-	"Geometry.MetadataBytes":     "Geometry.Blocks",
 	"Geometry.CounterEntryIndex": "Geometry.CounterLineAddr",
 	"Geometry.CounterLineAddr":   "Geometry.CounterEntryIndex",
 }

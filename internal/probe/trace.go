@@ -11,11 +11,10 @@ import (
 // while the tail — usually the part under investigation — is retained.
 // Like every probe it belongs to one simulation run and one goroutine.
 type EventTrace struct {
-	buf     []Event
-	start   int // index of the oldest retained event
-	n       int // retained count
-	seq     uint64
-	dropped uint64
+	buf   []Event
+	start int // index of the oldest retained event
+	n     int // retained count
+	seq   uint64
 }
 
 // NewTrace builds a trace retaining the last capacity events (minimum 1).
@@ -36,7 +35,6 @@ func (t *EventTrace) Event(e Event) {
 	}
 	t.buf[t.start] = e
 	t.start = (t.start + 1) % cap(t.buf)
-	t.dropped++
 }
 
 // Len returns the number of retained events.
@@ -44,9 +42,6 @@ func (t *EventTrace) Len() int { return t.n }
 
 // Seen returns the total number of events observed (retained + dropped).
 func (t *EventTrace) Seen() uint64 { return t.seq }
-
-// Dropped returns the number of events evicted by the ring bound.
-func (t *EventTrace) Dropped() uint64 { return t.dropped }
 
 // Events returns the retained events oldest-first (a copy).
 func (t *EventTrace) Events() []Event {

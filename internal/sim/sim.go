@@ -20,29 +20,10 @@ type Time int64
 // MaxTime is the largest representable timestamp.
 const MaxTime = Time(math.MaxInt64)
 
-// Common clock periods for the simulated SoC (paper Table 3).
-const (
-	// PsPerCPUCycle is the period of the 2.2 GHz CPU clock, rounded to
-	// integer picoseconds (454.5... -> 455 ps, a 0.1% error absorbed by
-	// calibration).
-	PsPerCPUCycle = 455
-	// PsPerGPUCycle is the period of the 1 GHz GPU clock.
-	PsPerGPUCycle = 1000
-	// PsPerNPUCycle is the period of the 1 GHz NPU clock.
-	PsPerNPUCycle = 1000
-	// PsPerMemCycle is the period of the 2.4 GHz LPDDR4 controller clock
-	// (416.6... -> 417 ps).
-	PsPerMemCycle = 417
-)
-
-// Clock converts between a fixed-frequency cycle domain and picoseconds.
-type Clock struct {
-	// PeriodPs is the duration of one cycle in picoseconds.
-	PeriodPs int64
-}
-
-// Cycles converts a duration in this clock's cycles to picoseconds.
-func (c Clock) Cycles(n int64) Time { return Time(n * c.PeriodPs) }
+// PsPerGPUCycle is the period of the 1 GHz GPU clock (paper Table 3), the
+// unit of the engine's crypto latency and of the stream detector's
+// 16K-cycle window.
+const PsPerGPUCycle = 1000
 
 // event is a scheduled callback. The callback receives the event's own
 // timestamp, so a completion path passes a callback bound once (a method

@@ -5,13 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestClockRoundTrip(t *testing.T) {
-	c := Clock{PeriodPs: PsPerGPUCycle}
-	if got := c.Cycles(16); got != 16000 {
-		t.Fatalf("Cycles(16) = %d, want 16000", got)
-	}
-}
-
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int

@@ -1,11 +1,10 @@
 // Package stats provides the small numeric and formatting helpers the
-// benchmark harness uses to turn scenario sweeps into the paper's CDF
-// curves and bar tables.
+// report harness uses to turn scenario sweeps into the paper's CDF
+// percentiles and bar tables.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -20,22 +19,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean (0 for empty input; panics on
-// non-positive values, which would indicate a broken normalization).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: geomean of non-positive value %g", x))
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (0..100) by linear interpolation.
@@ -58,23 +41,6 @@ func Percentile(xs []float64, p float64) float64 {
 		return s[lo]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	F float64 // cumulative fraction <= X
-}
-
-// CDF returns the empirical distribution of xs.
-func CDF(xs []float64) []CDFPoint {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, x := range s {
-		out[i] = CDFPoint{X: x, F: float64(i+1) / float64(len(s))}
-	}
-	return out
 }
 
 // Table renders rows with aligned columns for the bench harness output.

@@ -16,24 +16,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if GeoMean(nil) != 0 {
-		t.Fatal("geomean of empty != 0")
-	}
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("geomean = %v", got)
-	}
-}
-
-func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{3, 1, 2, 4}
 	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 4 {
@@ -44,33 +26,6 @@ func TestPercentile(t *testing.T) {
 	}
 	if Percentile(nil, 50) != 0 {
 		t.Fatal("empty percentile != 0")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{2, 1})
-	if len(pts) != 2 || pts[0].X != 1 || pts[0].F != 0.5 || pts[1].X != 2 || pts[1].F != 1 {
-		t.Fatalf("cdf = %+v", pts)
-	}
-}
-
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		for i := range xs {
-			if math.IsNaN(xs[i]) {
-				xs[i] = 0
-			}
-		}
-		pts := CDF(xs)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X < pts[i-1].X || pts[i].F <= pts[i-1].F {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, quickCfg(100)); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -274,20 +274,3 @@ func (t *Tracker) Flush() []Detection {
 	t.scratch = out
 	return out
 }
-
-// Occupancy returns the number of valid entries.
-func (t *Tracker) Occupancy() int {
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
-			n++
-		}
-	}
-	return n
-}
-
-// StorageBits returns the on-chip storage the tracker needs (section 4.5):
-// per entry 512 access bits + 49 chunk-index bits.
-func (t *Tracker) StorageBits() int {
-	return t.cfg.Entries * (meta.BlocksPerChunk + 49)
-}

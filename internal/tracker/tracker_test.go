@@ -56,7 +56,7 @@ func TestFullChunkEviction(t *testing.T) {
 	if d.Cause != EvictFull || d.Chunk != 0 || d.Stream != meta.AllStream {
 		t.Fatalf("detection = %+v", d)
 	}
-	if tr.Occupancy() != 0 {
+	if occupancy(tr) != 0 {
 		t.Fatal("entry survived full eviction")
 	}
 }
@@ -118,14 +118,6 @@ func TestStreamDetectionPartialChunk(t *testing.T) {
 	}
 	if dets[0].Cause != EvictFlush {
 		t.Fatal("flush cause wrong")
-	}
-}
-
-func TestStorageBits(t *testing.T) {
-	tr := New(DefaultConfig())
-	// Paper section 4.5: 12 x 561 bits = 6732 bits = 842B (rounding up).
-	if got := tr.StorageBits(); got != 12*561 {
-		t.Fatalf("storage = %d bits, want %d", got, 12*561)
 	}
 }
 

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"sort"
-
-	"unimem/internal/sim"
-)
+import "sort"
 
 // Profiles registers the Table 4 workloads plus the two extra real-world
 // stages of Table 6 (yt on the NPU, sc on the CPU).
@@ -129,16 +125,4 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ClockFor returns the device clock of a workload class (paper Table 3).
-func ClockFor(c Class) sim.Clock {
-	switch c {
-	case CPU:
-		return sim.Clock{PeriodPs: sim.PsPerCPUCycle}
-	case GPU:
-		return sim.Clock{PeriodPs: sim.PsPerGPUCycle}
-	default:
-		return sim.Clock{PeriodPs: sim.PsPerNPUCycle}
-	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"unimem/internal/core"
 	"unimem/internal/hetero"
+	"unimem/internal/mem"
 	"unimem/internal/stats"
 	"unimem/internal/tracker"
 )
@@ -85,7 +86,7 @@ func BenchmarkSensitivityBandwidth(b *testing.B) {
 		b.Skip("sweep")
 	}
 	run := func(channels int, scheme core.Scheme) float64 {
-		m := hetero.Config{Scale: 0.08, Seed: 1}.FilledMem()
+		m := mem.OrinConfig()
 		m.Channels = channels
 		cfg := hetero.Config{Scale: 0.08, Seed: 1, Mem: &m}
 		var xs []float64
