@@ -50,15 +50,13 @@ func (o Options) scenarios() []hetero.Scenario {
 	return hetero.SampleScenarios(o.SampleN)
 }
 
-// The scheme sets of the experiments that share a sweep.
+// The scheme sets experiments share sweeps by: Fig. 15/16 and Table 2
+// (prior), Fig. 17/18 (breakdown), and over the selected scenarios Fig. 19,
+// ext-latency and, collected, ext-walklen and ext-breakdown (selected).
 var (
-	// priorSchemes: Fig. 15/16, and Table 2's Ours runs.
-	priorSchemes = []core.Scheme{core.Adaptive, core.CommonCTR, core.Ours, core.BMFUnused, core.BMFUnusedOurs}
-	// breakdownSchemes: Fig. 17/18.
+	priorSchemes     = []core.Scheme{core.Adaptive, core.CommonCTR, core.Ours, core.BMFUnused, core.BMFUnusedOurs}
 	breakdownSchemes = []core.Scheme{core.Conventional, core.StaticDeviceBest, core.MultiCTROnly, core.Ours, core.BMFUnusedOurs}
-	// selectedSchemes: Fig. 19, ext-latency and (collected) ext-walklen
-	// and ext-breakdown over the selected scenarios.
-	selectedSchemes = []core.Scheme{core.Conventional, core.Ours, core.BMFUnusedOurs}
+	selectedSchemes  = []core.Scheme{core.Conventional, core.Ours, core.BMFUnusedOurs}
 )
 
 // Figure is one regenerated experiment.
@@ -213,12 +211,10 @@ func Table02(o Options) Figure {
 }
 
 // sweep runs (and memoizes) the schemes over the scenarios on the parallel
-// sweep engine, with a probe.Collector on every run when collect is set.
-// It is every scenario experiment's one path to the simulator, and
-// experiments that need the same runs name the same scenarios and schemes,
-// so regenerating all experiments does each sweep once. The key names
-// scenarios by ID; Workers and Progress stay out of it because they cannot
-// change results.
+// engine, with a probe.Collector on every run when collect is set: every
+// scenario experiment's one path to the simulator. The key names scenarios
+// by ID; Workers and Progress stay out of it because they cannot change
+// results.
 func sweep(o Options, scs []hetero.Scenario, schemes []core.Scheme, collect bool) []hetero.SweepResult {
 	key := fmt.Sprintf("scale=%g seed=%d collect=%t|%v|%v", o.Scale, o.Seed, collect, scs, schemes)
 	sweepMu.Lock()
