@@ -2,11 +2,12 @@ package secmem
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"unimem/internal/crypto"
 	"unimem/internal/meta"
@@ -101,7 +102,7 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
@@ -112,11 +113,8 @@ func sortedCounterKeys[V any](m map[counterKey]V) []counterKey {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].level != keys[j].level {
-			return keys[i].level < keys[j].level
-		}
-		return keys[i].entry < keys[j].entry
+	slices.SortFunc(keys, func(a, b counterKey) int {
+		return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.entry, b.entry))
 	})
 	return keys
 }

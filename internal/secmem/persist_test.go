@@ -181,9 +181,12 @@ func TestLoadAcceptsPromotedWrittenBlock(t *testing.T) {
 // TestLoadRejectsCounterOutsideTree: a counter entry beyond its level, or
 // at a level the tree does not store, is a malformed image.
 func TestLoadRejectsCounterOutsideTree(t *testing.T) {
+	g := meta.NewGeometry(region)
 	for name, k := range map[string]counterKey{
-		"entry": {0, 1 << 40},
-		"level": {9, 0},
+		"entry":                    {0, 1 << 40},
+		"first entry past the end": {0, g.CounterEntries(0)},
+		"level":                    {9, 0},
+		"first level past the top": {g.Levels(), 0},
 	} {
 		m := newMem()
 		mustWrite(t, m, 0, block(1))
