@@ -109,8 +109,8 @@ func FuzzGeometryEqs(f *testing.F) {
 					chunks, blockIdx, level, a, prev)
 			}
 			prev = a
-			// The slot's line is the counter line Eq. 4 names: the entry's
-			// line base plus the slot recovers the entry index.
+			// The line Eq. 4 names and the slot within it recover the
+			// entry: line*Arity + slot.
 			slot := counterSlot(g, level, blockIdx)
 			if slot < 0 || slot >= Arity {
 				t.Fatalf("chunks=%d block=%d level=%d: counter slot %d outside [0,%d)", chunks, blockIdx, level, slot, Arity)
