@@ -7,6 +7,7 @@ import (
 
 	"unimem/internal/core"
 	"unimem/internal/hetero"
+	"unimem/internal/stats"
 )
 
 // tiny keeps report tests fast; shape assertions stay loose at this scale.
@@ -104,9 +105,18 @@ func TestSweepMemoized(t *testing.T) {
 	}
 }
 
+// TestFigureString pins how a figure renders: its header, its table and
+// one line per note.
 func TestFigureString(t *testing.T) {
-	f := Fig04(tiny)
-	if !strings.Contains(f.String(), "== fig04") {
-		t.Fatal("figure header missing")
+	tb := stats.NewTable("workload", "coarse")
+	tb.Row("cc1", 0.5)
+	f := Figure{ID: "fig04", Title: "stream chunks", Table: tb, Notes: []string{"cc1 streams half its chunks"}}
+	want := "== fig04: stream chunks ==\n" +
+		"workload  coarse\n" +
+		"--------  ------\n" +
+		"cc1       0.500 \n" +
+		"note: cc1 streams half its chunks\n"
+	if got := f.String(); got != want {
+		t.Fatalf("figure renders as\n%q\nwant\n%q", got, want)
 	}
 }

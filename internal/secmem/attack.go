@@ -2,9 +2,7 @@ package secmem
 
 import (
 	"fmt"
-	"maps"
 
-	"unimem/internal/crypto"
 	"unimem/internal/meta"
 )
 
@@ -22,10 +20,10 @@ import (
 // ciphertext is materialized and tampered), so this always lands.
 func (m *Memory) TamperData(addr uint64) bool {
 	m.checkAddr(addr)
-	blk := addr &^ (meta.BlockSize - 1)
-	ct := m.data[blk]
+	i := meta.BlockIndex(addr)
+	ct := m.data.vals[i]
 	ct[addr%meta.BlockSize] ^= 1
-	m.data[blk] = ct
+	m.data.set(i, ct)
 	return true
 }
 
@@ -35,10 +33,10 @@ func (m *Memory) TamperData(addr uint64) bool {
 func (m *Memory) TamperMAC(addr uint64) bool {
 	m.checkAddr(addr)
 	base, _ := m.unitOf(addr)
-	slot := m.unitMACAddr(base, m.table[meta.ChunkIndex(addr)])
-	mac := m.macs[slot]
+	s := m.macSlot(base, m.table[meta.ChunkIndex(addr)])
+	mac := m.macs.vals[s]
 	mac[0] ^= 1
-	m.macs[slot] = mac
+	m.macs.set(s, mac)
 	return true
 }
 
@@ -55,27 +53,29 @@ func (m *Memory) TamperCounter(addr uint64) bool {
 	if level >= m.geom.Levels() {
 		return false // counter on chip; not attacker reachable
 	}
-	k := counterKey{level, m.geom.CounterEntryIndex(level, meta.BlockIndex(base))}
-	m.counters[k]++
+	s := m.counterSlot(level, m.geom.CounterEntryIndex(level, meta.BlockIndex(base)))
+	m.counters.set(s, m.counters.vals[s]+1)
 	return true
 }
 
-// SpliceData swaps the stored ciphertext of two blocks, modelling a
-// relocation attack. The MACs stay where they were. Swapping a block with
-// itself, or two blocks that both hold no stored ciphertext, changes
-// nothing and reports false.
+// SpliceData swaps the stored ciphertext of the blocks holding a and b,
+// modelling a relocation attack. The MACs stay where they were. Swapping a
+// block with itself, or two blocks that both hold no stored ciphertext,
+// changes nothing and reports false.
 func (m *Memory) SpliceData(a, b uint64) bool {
 	m.checkAddr(a)
 	m.checkAddr(b)
-	if a == b {
+	i, j := meta.BlockIndex(a), meta.BlockIndex(b)
+	if i == j {
 		return false
 	}
-	cta, oka := m.data[a]
-	ctb, okb := m.data[b]
+	cta, oka := m.data.get(i)
+	ctb, okb := m.data.get(j)
 	if !oka && !okb {
 		return false
 	}
-	m.data[a], m.data[b] = ctb, cta
+	m.data.set(i, ctb)
+	m.data.set(j, cta)
 	return true
 }
 
@@ -84,63 +84,35 @@ func (m *Memory) SpliceData(a, b uint64) bool {
 // analogue: metadata laid out under one encoding reinterpreted under
 // another). Returns false when the entry already reads sp.
 func (m *Memory) TamperTable(chunk uint64, sp meta.StreamPart) bool {
-	if chunk >= m.geom.Chunks() {
+	if chunk >= uint64(len(m.table)) {
 		panic(fmt.Sprintf("secmem: chunk %d outside region", chunk))
 	}
 	if m.table[chunk] == sp {
 		return false
 	}
-	m.setEncoding(chunk, sp)
+	m.table[chunk] = sp
 	return true
 }
 
 // Snapshot captures all off-chip state: ciphertext, MACs, tree nodes,
-// counters and the granularity table. Restoring it after
+// counters and the granularity table, so replay across granularity
+// switches restores a consistent metadata layout. Restoring it after
 // further writes is a replay attack — the on-chip roots are deliberately
-// not captured.
-type Snapshot struct {
-	data     map[uint64][meta.BlockSize]byte
-	counters map[counterKey]uint64
-	macs     map[uint64]crypto.MAC
-	nodeMACs map[uint64]crypto.MAC
-	// table holds the encodings of chunks with non-default state, so
-	// replay across granularity switches restores a consistent metadata
-	// layout.
-	table map[uint64]meta.StreamPart
-}
+// not captured. A snapshot copies the whole off-chip image.
+type Snapshot struct{ img offChip }
 
 // Snapshot records current off-chip memory contents.
-func (m *Memory) Snapshot() *Snapshot {
-	return &Snapshot{
-		data:     maps.Clone(m.data),
-		counters: maps.Clone(m.counters),
-		macs:     maps.Clone(m.macs),
-		nodeMACs: maps.Clone(m.nodeMACs),
-		table:    maps.Clone(m.table),
-	}
-}
+func (m *Memory) Snapshot() *Snapshot { return &Snapshot{m.offChip.clone()} }
 
 // Equal reports whether two snapshots capture identical off-chip state —
 // the divergence oracle for campaigns comparing a victim against an
 // untouched twin.
-func (s *Snapshot) Equal(o *Snapshot) bool {
-	return maps.Equal(s.data, o.data) &&
-		maps.Equal(s.counters, o.counters) &&
-		maps.Equal(s.macs, o.macs) &&
-		maps.Equal(s.nodeMACs, o.nodeMACs) &&
-		maps.Equal(s.table, o.table)
-}
+func (s *Snapshot) Equal(o *Snapshot) bool { return s.img.equal(&o.img) }
 
 // Replay overwrites off-chip memory with a previously captured snapshot,
 // leaving on-chip roots untouched. The snapshot is copied, so it can be
 // replayed again later (a patient attacker reuses a stale image).
-func (m *Memory) Replay(s *Snapshot) {
-	m.data = maps.Clone(s.data)
-	m.counters = maps.Clone(s.counters)
-	m.macs = maps.Clone(s.macs)
-	m.nodeMACs = maps.Clone(s.nodeMACs)
-	m.table = maps.Clone(s.table)
-}
+func (m *Memory) Replay(s *Snapshot) { m.offChip = s.img.clone() }
 
 // RollbackCounters restores only the freshness state — counters and
 // tree-node MACs — from a snapshot, leaving data, MACs and the
@@ -148,12 +120,10 @@ func (m *Memory) Replay(s *Snapshot) {
 // tries to revert version state without touching content. Returns false
 // when the snapshot's freshness state matches the current one (no-op).
 func (m *Memory) RollbackCounters(s *Snapshot) bool {
-	if maps.Equal(m.counters, s.counters) &&
-		maps.Equal(m.nodeMACs, s.nodeMACs) {
+	if m.counters.equal(&s.img.counters) && m.nodeMACs.equal(&s.img.nodeMACs) {
 		return false
 	}
-	m.counters = maps.Clone(s.counters)
-	m.nodeMACs = maps.Clone(s.nodeMACs)
+	m.counters, m.nodeMACs = s.img.counters.clone(), s.img.nodeMACs.clone()
 	return true
 }
 

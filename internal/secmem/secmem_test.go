@@ -38,6 +38,11 @@ func mustRead(t *testing.T, m *Memory, addr uint64) []byte {
 	return b
 }
 
+// stored returns the ciphertext stored in the slot of the block at addr.
+func stored(m *Memory, addr uint64) [meta.BlockSize]byte {
+	return m.data.vals[meta.BlockIndex(addr)]
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	m := newMem()
 	want := block(0xab)
@@ -68,7 +73,7 @@ func TestCiphertextDiffersFromPlaintext(t *testing.T) {
 	m := newMem()
 	want := block(0x55)
 	mustWrite(t, m, 0, want)
-	if ct := m.data[0]; bytes.Equal(ct[:], want) {
+	if ct := stored(m, 0); bytes.Equal(ct[:], want) {
 		t.Fatal("data stored in plaintext")
 	}
 }
@@ -233,11 +238,11 @@ func TestDemotionKeepsCiphertext(t *testing.T) {
 	if err := m.Promote(0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	before := m.data[0x40]
+	before := stored(m, 0x40)
 	if err := m.Demote(0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	after := m.data[0x40]
+	after := stored(m, 0x40)
 	if before != after {
 		t.Fatal("demotion re-encrypted data")
 	}
@@ -281,9 +286,9 @@ func TestCoarseUnitWriteReencryptsUnit(t *testing.T) {
 	if err := m.Promote(0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	ctBefore := m.data[64]
+	ctBefore := stored(m, 64)
 	mustWrite(t, m, 0, block(3)) // write sibling: shared counter bumps
-	if m.data[64] == ctBefore {
+	if stored(m, 64) == ctBefore {
 		t.Fatal("coarse write did not re-encrypt sibling block")
 	}
 	if !bytes.Equal(mustRead(t, m, 64), block(2)) {
@@ -375,6 +380,41 @@ func TestOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	_, _ = m.Read(region)
+}
+
+// TestChunkBoundIsTheTable: every entry point that takes a chunk index
+// takes its bound from the granularity table, one entry per chunk. The
+// last chunk is inside the region; the first chunk past it is rejected
+// with an error by Promote and Demote and with the chunk check's panic by
+// ApplyDetection and TamperTable.
+func TestChunkBoundIsTheTable(t *testing.T) {
+	m := newMem()
+	past := uint64(region / meta.ChunkSize)
+	if err := m.Promote(past-1, 0, 1); err != nil {
+		t.Fatalf("Promote(last chunk): %v", err)
+	}
+	if !m.TamperTable(past-1, meta.AllStream) {
+		t.Fatal("TamperTable(last chunk) did not land")
+	}
+	if err := m.Promote(past, 0, 1); err == nil {
+		t.Error("Promote(first chunk past the end) succeeded")
+	}
+	if err := m.Demote(past, 0, 1); err == nil {
+		t.Error("Demote(first chunk past the end) succeeded")
+	}
+	for name, op := range map[string]func(){
+		"ApplyDetection": func() { _ = m.ApplyDetection(past, meta.AllStream) },
+		"TamperTable":    func() { m.TamperTable(past, meta.AllStream) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "outside region") {
+					t.Errorf("%s(first chunk past the end) panicked with %v, want the chunk check", name, r)
+				}
+			}()
+			op()
+		}()
+	}
 }
 
 func TestGranOfDefault(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // MAC slots are recomputed for every unit because compaction (Fig. 9)
 // moves slots when any partition of the chunk changes.
 func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
-	if chunk >= m.geom.Chunks() {
+	if chunk >= uint64(len(m.table)) {
 		panic(fmt.Sprintf("secmem: chunk %d outside region", chunk))
 	}
 	oldSP := m.table[chunk]
@@ -32,11 +32,11 @@ func (m *Memory) ApplyDetection(chunk uint64, newSP meta.StreamPart) error {
 		return err
 	}
 	for _, u := range staged {
-		delete(m.macs, m.unitMACAddr(chunkBase+uint64(u.Block)*meta.BlockSize, oldSP))
+		m.macs.del(m.macSlot(chunkBase+uint64(u.Block)*meta.BlockSize, oldSP))
 	}
 
 	// Commit the new encoding so slot/unit resolution below uses it.
-	m.setEncoding(chunk, newSP)
+	m.table[chunk] = newSP
 
 	// The switch window is open: metadata committed, units not resealed.
 	// Campaigns hook this to land mid-switch mutations; because the reseal
@@ -118,8 +118,8 @@ func (m *Memory) Demote(chunk uint64, first, count int) error {
 // checkParts rejects a chunk outside the region and a partition range that
 // is empty or leaves the chunk.
 func (m *Memory) checkParts(chunk uint64, first, count int) error {
-	if chunk >= m.geom.Chunks() {
-		return fmt.Errorf("secmem: chunk %d outside the %d-chunk region", chunk, m.geom.Chunks())
+	if chunk >= uint64(len(m.table)) {
+		return fmt.Errorf("secmem: chunk %d outside the %d-chunk region", chunk, len(m.table))
 	}
 	if first < 0 || count < 1 || count > meta.PartsPerChunk-first {
 		return fmt.Errorf("secmem: partitions [%d, %d+%d) outside a %d-partition chunk", first, first, count, meta.PartsPerChunk)

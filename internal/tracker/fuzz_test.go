@@ -11,12 +11,13 @@ import (
 // access schedule and checks the detection invariants on every eviction
 // cause: detected stream partitions are always a subset of the touched
 // partitions, a full-chunk eviction detects the whole chunk as streaming,
-// occupancy never exceeds the configured entries, and Flush drains the
-// tracker completely.
+// no chunk is ever held by two valid entries (a lookup that misses a live
+// entry breaks this), and Flush drains the tracker completely.
 func FuzzTrackerEviction(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 0, 15, 1, 0, 64, 15, 1, 1, 0, 0, 200, 2, 7, 3, 9})
 	f.Add(uint8(1), []byte{5, 255, 0, 0, 5, 0, 7, 255})
 	f.Add(uint8(12), []byte{})
+	f.Add(uint8(1), []byte{0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1}) // two entries; re-touch the chunk in the last one
 	f.Fuzz(func(t *testing.T, entriesRaw uint8, ops []byte) {
 		entries := int(entriesRaw)%8 + 1
 		tr := New(Config{Entries: entries, LifetimePs: 1 << 21})
@@ -33,8 +34,8 @@ func FuzzTrackerEviction(f *testing.F) {
 					t.Fatalf("%s: full eviction detected %#x, want whole chunk streaming", when, uint64(d.Stream))
 				}
 			}
-			if occ := occupancy(tr); occ > entries {
-				t.Fatalf("%s: occupancy %d exceeds %d entries", when, occ, entries)
+			if c, ok := sharedChunk(tr); ok {
+				t.Fatalf("%s: chunk %d held by two valid entries", when, c)
 			}
 		}
 		var now sim.Time
@@ -51,6 +52,21 @@ func FuzzTrackerEviction(f *testing.F) {
 			t.Fatalf("flush left %d entries live", occupancy(tr))
 		}
 	})
+}
+
+// sharedChunk returns a chunk that two valid entries hold, if any.
+func sharedChunk(t *Tracker) (uint64, bool) {
+	held := map[uint64]bool{}
+	for _, e := range t.entries {
+		if !e.valid {
+			continue
+		}
+		if held[e.chunk] {
+			return e.chunk, true
+		}
+		held[e.chunk] = true
+	}
+	return 0, false
 }
 
 // occupancy is the number of valid entries.
