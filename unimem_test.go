@@ -198,7 +198,7 @@ func TestProtectedSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := LoadProtected(&buf, 9, roots)
+	p2, err := LoadProtected(&buf, 1<<20, 9, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,11 @@ func TestProtectedSaveLoad(t *testing.T) {
 	if _, err := p2.Save(&buf3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadProtected(&buf3, 9, roots); err == nil {
+	if _, err := LoadProtected(&buf3, 1<<20, 9, roots); err == nil {
 		t.Fatal("image accepted with stale roots")
+	}
+	// The size is trusted state too: an image loaded as another size fails.
+	if _, err := LoadProtected(bytes.NewReader(buf2.Bytes()), 1<<23, 9, roots); err == nil {
+		t.Fatal("1MB image accepted as an 8MB one")
 	}
 }
