@@ -61,6 +61,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "-scale must be positive, got %v\n", *scale)
 		return 2
 	}
+	if *events < 0 {
+		fmt.Fprintf(stderr, "-events must not be negative, got %d\n", *events)
+		return 2
+	}
 	if *cpuprofile != "" {
 		stop, err := startCPUProfile(*cpuprofile)
 		if err != nil {

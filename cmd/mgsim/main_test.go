@@ -113,6 +113,7 @@ func TestBadArgs(t *testing.T) {
 		{"-attack", "no-such-class"},
 		{"-scale", "0"},
 		{"-scale", "-1"},
+		{"-events", "-1"},
 	}
 	for _, args := range cases {
 		out, errs, code := runCmd(t, args...)

@@ -77,6 +77,44 @@ func TestConventionalWarmReadHitsCaches(t *testing.T) {
 	}
 }
 
+// TestSubmitQueuesOneEvent guards the join fold: mem returns a parallel
+// fetch's completion time at issue, so the fetch schedules nothing. After
+// Submit, a request whose fetches all join in parallel (a write, or a read
+// whose walk hits) queues its retire alone, and a read whose walk misses
+// queues the first fetch of its serialized chain alone.
+func TestSubmitQueuesOneEvent(t *testing.T) {
+	r := newRig(Ours, Options{})
+	var retired sim.Time
+	done := func(at sim.Time) { retired = at }
+	for _, c := range []struct {
+		name        string
+		req         Request
+		cold, chain bool
+	}{
+		{"cold read", Request{Addr: 0, Size: 64}, true, true},
+		{"warm read", Request{Addr: 0, Size: 64}, false, false},
+		{"cold write", Request{Addr: meta.ChunkSize, Size: 64, Write: true}, true, false},
+	} {
+		retired = -1
+		metaBytes := r.mm.Stats.MetadataBytes()
+		r.en.Submit(c.req, done)
+		if n := r.se.Pending(); n != 1 {
+			t.Fatalf("%s: %d events queued after Submit, want 1", c.name, n)
+		}
+		r.se.Step()
+		if c.chain && retired >= 0 {
+			t.Fatalf("%s: retired at the first event, want the chain's first fetch there", c.name)
+		}
+		if !c.chain && retired < 0 {
+			t.Fatalf("%s: the one queued event was not the retire", c.name)
+		}
+		r.se.RunAll()
+		if cold := r.mm.Stats.MetadataBytes() > metaBytes; cold != c.cold {
+			t.Fatalf("%s: fetched metadata = %v, want %v", c.name, cold, c.cold)
+		}
+	}
+}
+
 func TestSecureReadSlowerThanUnsecure(t *testing.T) {
 	u := newRig(Unsecure, Options{})
 	c := newRig(Conventional, Options{})

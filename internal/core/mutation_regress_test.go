@@ -29,30 +29,23 @@ func TestOptionsFillPreservesExplicitValues(t *testing.T) {
 	}
 }
 
-// Kills the off-by-one mutant on chunkOp.child's join-time update
-// (pipeline.go): a child completing exactly one tick after the current
-// latest must advance the join time, and an earlier child must not move
-// it back.
-func TestChunkOpChildAdvancesJoinTime(t *testing.T) {
+// Kills the off-by-one mutant on chunkOp.join's max (pipeline.go): an
+// operation completing exactly one tick after the current latest must
+// advance the join time, and an earlier one must not move it back.
+func TestChunkOpJoinAdvancesJoinTime(t *testing.T) {
 	r := newRig(Ours, Options{})
 	op := r.en.getOp(Request{Size: 64}, func(sim.Time) {})
-	op.slot()
-	op.slot()
-	op.slot()
-	op.child(100)
+	op.join(100)
 	if op.latest != 100 {
-		t.Fatalf("latest = %d after child(100), want 100", op.latest)
+		t.Fatalf("latest = %d after join(100), want 100", op.latest)
 	}
-	op.child(101)
+	op.join(101)
 	if op.latest != 101 {
-		t.Fatalf("latest = %d, want 101: a child one tick later must move the join", op.latest)
+		t.Fatalf("latest = %d, want 101: an operation one tick later must move the join", op.latest)
 	}
-	op.child(50)
+	op.join(50)
 	if op.latest != 101 {
-		t.Fatalf("latest = %d, want 101: an earlier child must not move the join back", op.latest)
-	}
-	if op.pending != 0 {
-		t.Fatalf("pending = %d after all children, want 0", op.pending)
+		t.Fatalf("latest = %d, want 101: an earlier operation must not move the join back", op.latest)
 	}
 }
 

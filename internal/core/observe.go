@@ -15,31 +15,33 @@ import (
 // the nil-probe branch — with observability off the hot path pays one
 // predictable-not-taken branch per site and nothing else.
 
-// memRead issues a DRAM read and reports it to the probe.
-func (e *Engine) memRead(dev int, addr uint64, size int, kind mem.Kind, done func(sim.Time)) {
+// memRead issues a DRAM read, reports it to the probe and returns its
+// completion time.
+func (e *Engine) memRead(dev int, addr uint64, size int, kind mem.Kind, done func(sim.Time)) sim.Time {
 	if e.prb != nil {
 		e.prb.Event(probe.Event{
 			At: e.se.Now(), Kind: probe.EvMemRead, Device: dev,
 			Addr: addr, Size: size, Class: uint8(kind), Val: int64(beatsOf(size)),
 		})
 	}
-	e.mm.Read(addr, size, kind, done)
+	return e.mm.Read(addr, size, kind, done)
 }
 
-// memWrite issues a DRAM write and reports it to the probe.
-func (e *Engine) memWrite(dev int, addr uint64, size int, kind mem.Kind, done func(sim.Time)) {
+// memWrite issues a DRAM write, reports it to the probe and returns the
+// time it drains.
+func (e *Engine) memWrite(dev int, addr uint64, size int, kind mem.Kind, done func(sim.Time)) sim.Time {
 	if e.prb != nil {
 		e.prb.Event(probe.Event{
 			At: e.se.Now(), Kind: probe.EvMemWrite, Device: dev,
 			Addr: addr, Size: size, Write: true, Class: uint8(kind), Val: int64(beatsOf(size)),
 		})
 	}
-	e.mm.Write(addr, size, kind, done)
+	return e.mm.Write(addr, size, kind, done)
 }
 
 // beatsOf mirrors mem's beat rounding (size <= 0 means one beat).
 func beatsOf(size int) int {
-	if size <= 0 {
+	if size <= 0 { //mutate:ignore off-by-one size 1 is one beat on either side of the bound
 		return 1
 	}
 	return (size + mem.BlockSize - 1) / mem.BlockSize

@@ -14,6 +14,11 @@ import (
 // used to be per-request closures. Ops live on a per-engine free list (the
 // simulation is single-threaded), and each op binds its callbacks once when
 // first allocated, so the probe-off steady state allocates nothing.
+//
+// The memory model returns each access's completion time when it issues
+// the access, so a parallel fetch is no event of its own: the join keeps
+// the latest of those times, and only the serialized chain and the retire
+// are scheduled.
 type chunkOp struct {
 	e    *Engine
 	next *chunkOp // free-list link
@@ -22,11 +27,9 @@ type chunkOp struct {
 	issued sim.Time
 	user   func(sim.Time) // caller's completion callback
 
-	// Join over the chunk's parallel memory operations: fires once, at the
-	// latest completion time, after seal.
-	pending int
-	sealed  bool
-	latest  sim.Time
+	// Join over the chunk's parallel memory operations: the latest of their
+	// completion times.
+	latest sim.Time
 
 	// Data-span expansion state (stage 5).
 	lo, hi uint64
@@ -38,7 +41,6 @@ type chunkOp struct {
 	serialI int
 
 	// Callbacks bound once per pooled op and reused for its lifetime.
-	childFn  func(sim.Time) // one parallel slot completed
 	serialFn func(sim.Time) // next serialized fetch
 	retireFn func(sim.Time) // crypto latency elapsed, or unprotected access done
 }
@@ -49,7 +51,6 @@ func (e *Engine) getOp(r Request, user func(sim.Time)) *chunkOp {
 	op := e.freeOps
 	if op == nil {
 		op = &chunkOp{e: e}
-		op.childFn = op.child
 		op.serialFn = op.serialNext
 		op.retireFn = op.retire
 	} else {
@@ -59,8 +60,6 @@ func (e *Engine) getOp(r Request, user func(sim.Time)) *chunkOp {
 	op.r = r
 	op.issued = e.se.Now()
 	op.user = user
-	op.pending = 0
-	op.sealed = false
 	op.latest = 0
 	op.lo, op.hi = 0, 0
 	op.rmw = false
@@ -69,31 +68,16 @@ func (e *Engine) getOp(r Request, user func(sim.Time)) *chunkOp {
 	return op
 }
 
-// slot reserves one parallel completion slot and returns its callback.
-func (op *chunkOp) slot() func(sim.Time) {
-	op.pending++
-	return op.childFn
-}
-
-func (op *chunkOp) child(at sim.Time) {
+// join adds one parallel memory operation, completing at at, to the join.
+func (op *chunkOp) join(at sim.Time) {
 	if at > op.latest {
 		op.latest = at
 	}
-	op.pending--
-	op.maybeFire()
 }
 
-// seal marks that no more slots will be added; when everything already
-// completed (or nothing was added) the join fires immediately.
-func (op *chunkOp) seal() {
-	op.sealed = true
-	op.maybeFire()
-}
-
-func (op *chunkOp) maybeFire() {
-	if !op.sealed || op.pending != 0 {
-		return
-	}
+// finish schedules the retire: the crypto latency after the later of the
+// join and now (the end of the serialized chain, if any).
+func (op *chunkOp) finish() {
 	e := op.e
 	e.se.At(max(op.latest, e.se.Now())+cryptoPs, op.retireFn)
 }
@@ -101,12 +85,12 @@ func (op *chunkOp) maybeFire() {
 // serialNext is the completion callback of one serialized fetch.
 func (op *chunkOp) serialNext(sim.Time) { op.serialStep() }
 
-// serialStep issues the next fetch of the serialized chain, or completes
-// the chain's join slot when exhausted.
+// serialStep issues the next fetch of the serialized chain, or finishes the
+// request when the chain is exhausted (at once for an empty chain).
 func (op *chunkOp) serialStep() {
 	e := op.e
 	if op.serialI >= len(op.serial) {
-		op.childFn(e.se.Now())
+		op.finish()
 		return
 	}
 	f := op.serial[op.serialI]
@@ -254,7 +238,7 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 			e.memWrite(r.Device, gtAddr, 64, mem.GranTable, nil)
 		}
 		if !hit {
-			e.memRead(r.Device, gtAddr, 64, mem.GranTable, op.slot())
+			op.join(e.memRead(r.Device, gtAddr, 64, mem.GranTable, nil))
 		}
 	}
 
@@ -338,7 +322,7 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 				}
 			} else {
 				for _, a := range walk.Fetches {
-					e.memRead(r.Device, a, 64, mem.Counter, op.slot())
+					op.join(e.memRead(r.Device, a, 64, mem.Counter, nil))
 				}
 			}
 			first = false
@@ -373,7 +357,7 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 				e.memWrite(r.Device, lineAddr, 64, mem.MAC, nil)
 			}
 			if !hit {
-				e.memRead(r.Device, lineAddr, 64, mem.MAC, op.slot())
+				op.join(e.memRead(r.Device, lineAddr, 64, mem.MAC, nil))
 			}
 			if e.spec.DoubleStore && r.Write && u.gran > meta.Gran64 {
 				// Adaptive stores both granularities on update.
@@ -393,28 +377,25 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 		if overBeats > 0 {
 			// Sub-unit write: fetch the covering unit (MAC recompute, and
 			// old plaintext when re-encrypting).
-			e.memRead(r.Device, op.lo, size, mem.Data, op.slot())
+			op.join(e.memRead(r.Device, op.lo, size, mem.Data, nil))
 		}
 		if op.rmw {
-			e.memWrite(r.Device, op.lo, size, mem.Data, op.slot())
+			op.join(e.memWrite(r.Device, op.lo, size, mem.Data, nil))
 		} else {
-			e.memWrite(r.Device, r.Addr, r.Size, mem.Data, op.slot())
+			op.join(e.memWrite(r.Device, r.Addr, r.Size, mem.Data, nil))
 		}
 		e.writtenParts[chunk] |= partMask(chunkBase, r.Addr, r.Size)
 		if e.walker != nil {
 			e.walker.MarkTouched(meta.BlockIndex(r.Addr))
 		}
 	} else {
-		e.memRead(r.Device, op.lo, size, mem.Data, op.slot())
+		op.join(e.memRead(r.Device, op.lo, size, mem.Data, nil))
 	}
 	e.lastWrite[chunk] = r.Write
 
-	// Launch the serialized chain, then seal the join.
-	if len(op.serial) > 0 {
-		op.pending++
-		op.serialStep()
-	}
-	op.seal()
+	// Launch the serialized chain; its last fetch, or without a chain this
+	// call, schedules the retire.
+	op.serialStep()
 }
 
 // expandUnit widens the data span for one covering unit (stage 5). A
@@ -455,7 +436,7 @@ func (e *Engine) expandUnit(op *chunkOp, chunk, chunkBase uint64, u unitSpan, fi
 		unitMask := partMask(chunkBase, u.base, int(u.gran.Bytes()))
 		if e.writtenParts[chunk]&unitMask == 0 {
 			fineLine := e.geom.MACLineAddr(chunk, int((r.Addr-chunkBase)/meta.BlockSize))
-			e.memRead(r.Device, fineLine, 64, mem.MAC, op.slot())
+			op.join(e.memRead(r.Device, fineLine, 64, mem.MAC, nil))
 			return
 		}
 	}

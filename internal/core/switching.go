@@ -129,7 +129,7 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 
 	// Counter / integrity-tree side.
 	if e.spec.MultiCTR {
-		if to < from {
+		if to < from { //mutate:ignore off-by-one chargeSwitch runs only for a pending unit, so from != to and to < from+1 holds exactly when to < from
 			// Scale-down: zero additional fetches — the retained counter
 			// value means following accesses fetch what they need anyway.
 			if !*classified {
@@ -164,7 +164,7 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 				}
 				walk := e.walker.Write(blockIdx, to.Level())
 				for _, a := range walk.Fetches {
-					e.memRead(r.Device, a, 64, mem.Switch, op.slot())
+					op.join(e.memRead(r.Device, a, 64, mem.Switch, nil))
 				}
 				for i := 0; i < walk.Writebacks; i++ {
 					e.memWrite(r.Device, a64Base(e, blockIdx), 64, mem.Counter, nil)
@@ -186,7 +186,7 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 					e.probeSwitch(r, probe.SwMACDownRO)
 				}
 				for _, lineAddr := range e.fineMACLines(chunk, b, from) {
-					e.memRead(r.Device, lineAddr, 64, mem.MAC, op.slot())
+					op.join(e.memRead(r.Device, lineAddr, 64, mem.MAC, nil))
 				}
 			} else {
 				// Written data: the whole unit must be fetched to recompute
@@ -196,7 +196,7 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 					e.probeSwitch(r, probe.SwMACDownRW)
 				}
 				base := chunkBase + uint64(b&^(from.Blocks()-1))*meta.BlockSize
-				e.memRead(r.Device, base, int(from.Bytes()), mem.Switch, op.slot())
+				op.join(e.memRead(r.Device, base, int(from.Bytes()), mem.Switch, nil))
 			}
 		} else {
 			if !*classified {
@@ -218,7 +218,7 @@ func (e *Engine) chargeSwitch(r Request, chunk, chunkBase uint64, b int, from, t
 func (e *Engine) fineMACLines(chunk uint64, b int, from meta.Gran) []uint64 {
 	base := b &^ (from.Blocks() - 1)
 	lines := from.Blocks() / meta.MACsPerLine
-	if lines < 1 {
+	if lines < 1 { //mutate:ignore off-by-one lines < 2 differs only at lines == 1, which it sets to 1
 		lines = 1
 	}
 	out := e.macLines[:0]

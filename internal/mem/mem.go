@@ -118,25 +118,26 @@ func New(eng *sim.Engine, cfg Config) *Memory {
 	return &Memory{eng: eng, cfg: cfg, free: make([]sim.Time, cfg.Channels)}
 }
 
-// Read requests size bytes starting at addr and calls done when the last
-// beat has arrived on chip. size is rounded up to whole 64B beats. The
-// callback receives the completion time.
-func (m *Memory) Read(addr uint64, size int, kind Kind, done func(sim.Time)) {
-	m.access(addr, size, kind, false, done)
+// Read requests size bytes starting at addr and returns the time the last
+// beat arrives on chip. size is rounded up to whole 64B beats. A non-nil
+// done is also scheduled at that time; a nil one schedules nothing.
+func (m *Memory) Read(addr uint64, size int, kind Kind, done func(sim.Time)) sim.Time {
+	return m.access(addr, size, kind, false, done)
 }
 
-// Write issues size bytes starting at addr. Writes are posted: they consume
-// bandwidth (delaying later reads on the same channel) but the done callback,
-// if non-nil, fires when the write has drained.
-func (m *Memory) Write(addr uint64, size int, kind Kind, done func(sim.Time)) {
-	m.access(addr, size, kind, true, done)
+// Write issues size bytes starting at addr and returns the time the write
+// has drained. Writes are posted: they consume bandwidth (delaying later
+// reads on the same channel), and done, if non-nil, fires when they drain.
+func (m *Memory) Write(addr uint64, size int, kind Kind, done func(sim.Time)) sim.Time {
+	return m.access(addr, size, kind, true, done)
 }
 
-// access charges one transaction. Its beats interleave across the channels
-// at 64B granularity starting from addr's channel, and each channel serves
-// its share back to back from the later of its free time and now, so the
-// cost is one step per channel, not per beat.
-func (m *Memory) access(addr uint64, size int, kind Kind, write bool, done func(sim.Time)) {
+// access charges one transaction and returns its completion time. Its
+// beats interleave across the channels at 64B granularity starting from
+// addr's channel, and each channel serves its share back to back from the
+// later of its free time and now, so the cost is one step per channel, not
+// per beat.
+func (m *Memory) access(addr uint64, size int, kind Kind, write bool, done func(sim.Time)) sim.Time {
 	if size <= 0 {
 		size = BlockSize
 	}
@@ -162,7 +163,9 @@ func (m *Memory) access(addr uint64, size int, kind Kind, write bool, done func(
 	} else {
 		m.Stats.Reads[kind] += uint64(beats)
 	}
+	last += sim.Time(m.cfg.LatencyPs)
 	if done != nil {
-		m.eng.At(last+sim.Time(m.cfg.LatencyPs), done)
+		m.eng.At(last, done)
 	}
+	return last
 }

@@ -145,6 +145,55 @@ func TestStatsBytesTotals(t *testing.T) {
 	}
 }
 
+// Read and Write return the time their done callback receives: on an idle
+// channel and queued behind an earlier beat, for one beat and for beats
+// over both channels. With a nil done they return the same times and
+// queue nothing.
+func TestAccessReturnsCompletionTime(t *testing.T) {
+	cases := []struct {
+		name string
+		addr uint64
+		size int
+		want sim.Time
+	}{
+		{"one beat, idle channel 0", 0, 64, 6000},
+		{"one beat, queued on channel 0", 128, 64, 7000},
+		{"one beat, idle channel 1", 64, 64, 6000},
+		{"four beats over both channels, queued", 0, 256, 9000},
+	}
+	for _, write := range []bool{false, true} {
+		access := func(m *Memory, addr uint64, size int, done func(sim.Time)) sim.Time {
+			if write {
+				return m.Write(addr, size, Data, done)
+			}
+			return m.Read(addr, size, Data, done)
+		}
+		eng, m := newTestMem()
+		got := make([]sim.Time, len(cases))
+		for i, c := range cases {
+			if ret := access(m, c.addr, c.size, func(at sim.Time) { got[i] = at }); ret != c.want {
+				t.Errorf("write=%v %s: returned %d, want %d", write, c.name, ret, c.want)
+			}
+		}
+		eng.RunAll()
+		for i, c := range cases {
+			if got[i] != c.want {
+				t.Errorf("write=%v %s: done received %d, want %d", write, c.name, got[i], c.want)
+			}
+		}
+
+		eng, m = newTestMem()
+		for _, c := range cases {
+			if ret := access(m, c.addr, c.size, nil); ret != c.want {
+				t.Errorf("write=%v %s, nil done: returned %d, want %d", write, c.name, ret, c.want)
+			}
+			if n := eng.Pending(); n != 0 {
+				t.Fatalf("write=%v %s: a nil done queued %d events", write, c.name, n)
+			}
+		}
+	}
+}
+
 // refMemory is the per-beat model that Memory.access replaced: each beat
 // queues on its own channel in turn. It is the exactness reference for the
 // per-channel shortcut.
@@ -197,10 +246,14 @@ func TestAccessMatchesPerBeatReference(t *testing.T) {
 			want = append(want, ref.access(now, addr, size))
 			got = append(got, -1)
 			done := func(at sim.Time) { got[i] = at }
+			var ret sim.Time
 			if rng.Intn(2) == 0 {
-				m.Read(addr, size, Counter, done)
+				ret = m.Read(addr, size, Counter, done)
 			} else {
-				m.Write(addr, size, MAC, done)
+				ret = m.Write(addr, size, MAC, done)
+			}
+			if ret != want[i] {
+				t.Fatalf("trial %d access %d (%+v): returned %d, reference %d", trial, i, cfg, ret, want[i])
 			}
 			beats += uint64((max(size, 1) + BlockSize - 1) / BlockSize)
 			for ch := range ref.free {
