@@ -48,6 +48,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "-scale must be positive, got %v\n", *scale)
 		return 2
 	}
+	if *dump < 0 {
+		fmt.Fprintf(stderr, "-dump must not be negative, got %d\n", *dump)
+		return 2
+	}
 
 	if *replay != "" {
 		f, err := os.Open(*replay)

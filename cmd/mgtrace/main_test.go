@@ -91,6 +91,7 @@ func TestBadArgs(t *testing.T) {
 		{"-bogusflag"},          // flag parse error
 		{"-workload", "alex", "-scale", "0"},
 		{"-workload", "alex", "-scale", "-1"},
+		{"-workload", "alex", "-dump", "-1"},
 	}
 	for _, args := range cases {
 		out, errs, code := runCmd(t, args...)

@@ -147,8 +147,8 @@ type Engine struct {
 	// lists and [:0] reuse suffice; see TestSubmitSteadyStateZeroAlloc).
 	freeOps    *chunkOp
 	freeSplits *splitOp
-	ctrUnits   []unitSpan
-	macUnits   []unitSpan
+	ctrRuns    []unitRun
+	macRuns    []unitRun
 	macLines   []uint64
 
 	perDev []DeviceStats
@@ -255,8 +255,10 @@ func (e *Engine) Finish() {
 	}
 }
 
-// unitSpan is one protection unit covering part of a request.
-type unitSpan struct {
+// unitRun is n consecutive protection units of one granularity covering
+// part of a request, the first at base.
+type unitRun struct {
 	base uint64
 	gran meta.Gran
+	n    int
 }

@@ -217,3 +217,16 @@ func TestScaleDownFetchStaysInsideChunk(t *testing.T) {
 		}
 	}
 }
+
+// Kills the unit-swap mutants on Submit's same-chunk test (pipeline.go):
+// a request inside one chunk goes straight to submitChunk and never takes
+// a splitOp from the pool. Through the split path it would complete at the
+// same time, so only the pool shows the difference.
+func TestSingleChunkRequestTakesNoSplit(t *testing.T) {
+	r := newRig(Conventional, Options{})
+	r.do(Request{Addr: meta.ChunkSize + 7*meta.BlockSize, Size: meta.BlockSize})
+	r.do(Request{Addr: 3*meta.ChunkSize - 4096, Size: 4096})
+	if r.en.freeSplits != nil {
+		t.Fatal("a request inside one chunk went through the split path")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"unimem/internal/mem"
+	"unimem/internal/meta"
 	"unimem/internal/probe"
 	"unimem/internal/tracker"
 )
@@ -73,5 +74,51 @@ func TestProbeSummaryMatchesStats(t *testing.T) {
 		if !exercised[name] {
 			t.Errorf("no scheme advanced %s: the batch no longer exercises its probe emission", name)
 		}
+	}
+}
+
+// Every protection unit still gets its own EvWalk and EvMACFetch although
+// the engine walks and looks up MACs once per line: a 4KB read is 64 units
+// of 64B on 8 flat MAC lines; under a mixed 512B encoding its 15 units hold
+// 15 compacted slots on 2 lines; at a static 512B granularity its 8 units
+// hold one flat line each.
+func TestEveryUnitEmitsItsEvents(t *testing.T) {
+	var mixed512 meta.StreamPart
+	for g := 0; g < 8; g++ {
+		mixed512 |= meta.StreamPart(0x7f) << (uint(g) * 8)
+	}
+	for _, tc := range []struct {
+		name           string
+		scheme         Scheme
+		opts           Options
+		sp             meta.StreamPart
+		walks, fetches uint64
+		merges         uint64
+	}{
+		{name: "Conventional", scheme: Conventional, walks: 64, fetches: 8, merges: 56},
+		{name: "512B-mixed", scheme: PerPartitionOracle, sp: mixed512, walks: 15, fetches: 2, merges: 13},
+		{name: "static 512B", scheme: StaticDeviceBest, opts: Options{StaticGran: []meta.Gran{meta.Gran512}}, walks: 8, fetches: 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := probe.NewCollector(1)
+			tc.opts.Probe = c
+			if tc.scheme == PerPartitionOracle {
+				tbl := meta.NewTable()
+				tbl.SetNext(0, tc.sp)
+				tbl.CommitAll(0)
+				tc.opts.FixedTable = tbl
+			}
+			r := newRig(tc.scheme, tc.opts)
+			r.do(Request{Addr: 0, Size: 4096})
+			r.do(Request{Addr: 0, Size: 4096}) // warm: first-level hits repeat
+			s := c.Summary
+			if s.Walks != 2*tc.walks || s.MACFetches != 2*tc.fetches || s.MACMerges != 2*tc.merges {
+				t.Fatalf("%d walks, %d MAC fetches, %d merges; want %d, %d, %d",
+					s.Walks, s.MACFetches, s.MACMerges, 2*tc.walks, 2*tc.fetches, 2*tc.merges)
+			}
+			if s.WalkLevels != r.en.Stats.WalkLevels {
+				t.Fatalf("probe walk levels %d, engine %d", s.WalkLevels, r.en.Stats.WalkLevels)
+			}
+		})
 	}
 }

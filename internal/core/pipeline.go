@@ -256,17 +256,17 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 		}
 	}
 
-	// 4. Resolve protection units and their encodings. Both sides' unit
-	// lists are collected into engine scratch once; enumeration depends
-	// only on the stream-part value read here, so the lists stay valid
-	// across the stages below.
+	// 4. Resolve protection units and their encodings. Both sides' units
+	// are collected into engine scratch once, as runs of consecutive units
+	// of one granularity; enumeration depends only on the stream-part value
+	// read here, so the runs stay valid across the stages below.
 	var sp meta.StreamPart
 	if e.table != nil {
 		sp = e.table.Current(chunk)
 	}
 	ctrRule, macRule := e.granRules(r.Device)
-	e.macUnits = appendUnits(e.macUnits[:0], sp, chunkBase, r, macRule)
-	e.ctrUnits = appendUnits(e.ctrUnits[:0], sp, chunkBase, r, ctrRule)
+	e.macRuns = appendUnits(e.macRuns[:0], sp, r, macRule)
+	e.ctrRuns = appendUnits(e.ctrRuns[:0], sp, r, ctrRule)
 
 	// 5. Data span. A coarse unit needs its whole data for verification
 	// (nested MAC) and for read-modify-write, but bulk streams deliver the
@@ -277,14 +277,9 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 	// multi-granular MAC designs (ours and Adaptive [56]); the static
 	// strawman lacks it (its Fig. 6 penalty).
 	op.lo, op.hi = r.Addr, r.Addr+uint64(r.Size)
-	fallback := e.spec.MultiMAC
-	for _, u := range e.macUnits {
-		e.expandUnit(op, chunk, chunkBase, u, fallback)
-	}
+	e.expandRuns(op, chunk, chunkBase, e.macRuns, e.spec.MultiMAC)
 	if r.Write {
-		for _, u := range e.ctrUnits {
-			e.expandUnit(op, chunk, chunkBase, u, false)
-		}
+		e.expandRuns(op, chunk, chunkBase, e.ctrRuns, false)
 	}
 	overBeats := (int(op.hi-op.lo) - r.Size) / meta.BlockSize
 	if overBeats > 0 {
@@ -299,34 +294,11 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 	// (MAC-only protection, application-managed versions).
 	switch e.counterSource(r.Device, chunk) {
 	case CountersShared:
-		e.Stats.SharedCTRHits += uint64(len(e.ctrUnits))
-	case CountersTree:
-		first := true
-		for _, u := range e.ctrUnits {
-			blockIdx := meta.BlockIndex(u.base)
-			walk := e.walkUnit(blockIdx, u.gran, r.Write)
-			e.probeWalk(r, walk)
-			e.Stats.WalkLevels += uint64(walk.Levels)
-			if walk.Pruned {
-				e.Stats.PrunedWalks++
-			}
-			if walk.SubtreeHit {
-				e.Stats.SubtreeHits++
-			}
-			for wbI := 0; wbI < walk.Writebacks; wbI++ {
-				e.memWrite(r.Device, e.geom.CounterLineAddr(0, blockIdx), 64, mem.Counter, nil)
-			}
-			if first && !r.Write {
-				for _, a := range walk.Fetches {
-					op.serial = append(op.serial, fetchOp{addr: a, kind: mem.Counter})
-				}
-			} else {
-				for _, a := range walk.Fetches {
-					op.join(e.memRead(r.Device, a, 64, mem.Counter, nil))
-				}
-			}
-			first = false
+		for _, u := range e.ctrRuns {
+			e.Stats.SharedCTRHits += uint64(u.n)
 		}
+	case CountersTree:
+		e.walkRuns(op)
 	}
 
 	// 7. MAC path: one cacheline per needed MAC line, in parallel. A
@@ -335,39 +307,56 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 	// request's units are consecutive units of the chunk, so they hold
 	// consecutive slots starting at its first unit's. Fixed and 4KB-capped
 	// rules use the flat per-block layout (slot = block index within
-	// chunk).
+	// chunk), where only 64B units share a line. The loop steps by line:
+	// a line's first unit looks it up (unless the previous line was the
+	// same), and the line's other units of the run merge into it.
 	compact := macRule.table && macRule.cap == meta.Gran32K
-	var slot0 int
+	var slot int
 	if compact {
-		slot0, _ = sp.MACSlot(meta.BlockInChunk(e.macUnits[0].base))
+		slot, _ = sp.MACSlot(meta.BlockInChunk(e.macRuns[0].base))
 	}
 	var lastLine uint64 = ^uint64(0)
-	for k, u := range e.macUnits {
-		slot := int((u.base - chunkBase) / meta.BlockSize)
-		if compact {
-			slot = slot0 + k
+	for _, u := range e.macRuns {
+		step := 1
+		if !compact {
+			slot, step = meta.BlockInChunk(u.base), u.gran.Blocks()
 		}
-		lineAddr := e.geom.MACLineAddr(chunk, slot)
-		if lineAddr != lastLine {
-			lastLine = lineAddr
-			hit, wb := e.macCache.Access(lineAddr, r.Write)
-			e.probeCache(r.Device, probe.CacheMAC, lineAddr, hit)
-			e.probeMAC(r.Device, lineAddr, false)
-			if wb {
-				e.memWrite(r.Device, lineAddr, 64, mem.MAC, nil)
+		for k := 0; k < u.n; {
+			m := 1 // the run's units from k on slot's line
+			if step == 1 {
+				m = min(u.n-k, meta.MACsPerLine-slot%meta.MACsPerLine)
 			}
-			if !hit {
-				op.join(e.memRead(r.Device, lineAddr, 64, mem.MAC, nil))
+			lineAddr := e.geom.MACLineAddr(chunk, slot)
+			if lineAddr != lastLine {
+				lastLine = lineAddr
+				hit, wb := e.macCache.Access(lineAddr, r.Write)
+				e.probeCache(r.Device, probe.CacheMAC, lineAddr, hit)
+				e.probeMAC(r.Device, lineAddr, false)
+				if wb {
+					e.memWrite(r.Device, lineAddr, 64, mem.MAC, nil)
+				}
+				if !hit {
+					op.join(e.memRead(r.Device, lineAddr, 64, mem.MAC, nil))
+				}
+				if e.spec.DoubleStore && r.Write && u.gran > meta.Gran64 {
+					// Adaptive stores both granularities on update.
+					e.memWrite(r.Device, lineAddr, 64, mem.MAC, nil)
+				}
+			} else {
+				e.probeMAC(r.Device, lineAddr, true)
 			}
-			if e.spec.DoubleStore && r.Write && u.gran > meta.Gran64 {
-				// Adaptive stores both granularities on update.
-				e.memWrite(r.Device, lineAddr, 64, mem.MAC, nil)
+			if e.prb != nil {
+				for range m - 1 {
+					e.probeMAC(r.Device, lineAddr, true)
+				}
 			}
-		} else {
-			e.probeMAC(r.Device, lineAddr, true)
-		}
-		if u.gran > meta.Gran64 {
-			e.openUnits.Access(u.base, false) // unit now verified/open
+			if u.gran > meta.Gran64 {
+				for j := range m {
+					e.openUnits.Access(u.base+uint64(k+j)*u.gran.Bytes(), false) // unit now verified/open
+				}
+			}
+			k += m
+			slot += m * step
 		}
 	}
 
@@ -398,31 +387,42 @@ func (e *Engine) submitChunk(r Request, done func(sim.Time)) {
 	op.serialStep()
 }
 
-// expandUnit widens the data span for one covering unit (stage 5). A
-// request that starts at the unit base opens the unit (the stream will
-// supply the rest); requests hitting an open unit continue it; only a cold,
-// unaligned access into a coarse unit — a misprediction in the paper's
-// terms — pays the whole-unit fetch.
-func (e *Engine) expandUnit(op *chunkOp, chunk, chunkBase uint64, u unitSpan, fineMACFallback bool) {
-	r := op.r
-	if u.gran == meta.Gran64 {
-		return
+// expandRuns widens the data span for every unit of runs (stage 5). A 64B
+// unit lies inside its 64B-aligned request, so only coarse runs can widen
+// it.
+func (e *Engine) expandRuns(op *chunkOp, chunk, chunkBase uint64, runs []unitRun, fineMACFallback bool) {
+	for _, u := range runs {
+		if u.gran == meta.Gran64 {
+			continue
+		}
+		for k := range u.n {
+			e.expandUnit(op, chunk, chunkBase, u.base+uint64(k)*u.gran.Bytes(), u.gran, fineMACFallback)
+		}
 	}
-	unitEnd := u.base + u.gran.Bytes()
-	covers := r.Addr <= u.base && //mutate:ignore off-by-one requests are 64B aligned, so r.Addr <= u.base+1 holds exactly when r.Addr <= u.base
+}
+
+// expandUnit widens the data span for one coarse covering unit. A request
+// that starts at the unit base opens the unit (the stream will supply the
+// rest); requests hitting an open unit continue it; only a cold, unaligned
+// access into a coarse unit — a misprediction in the paper's terms — pays
+// the whole-unit fetch.
+func (e *Engine) expandUnit(op *chunkOp, chunk, chunkBase, base uint64, g meta.Gran, fineMACFallback bool) {
+	r := op.r
+	unitEnd := base + g.Bytes()
+	covers := r.Addr <= base && //mutate:ignore off-by-one requests are 64B aligned, so r.Addr <= base+1 holds exactly when r.Addr <= base
 		r.Addr+uint64(r.Size) >= unitEnd
 	if covers {
 		return
 	}
-	openHit, _ := e.openUnits.Access(u.base, false)
-	e.probeCache(r.Device, probe.CacheOpenUnit, u.base, openHit)
+	openHit, _ := e.openUnits.Access(base, false)
+	e.probeCache(r.Device, probe.CacheOpenUnit, base, openHit)
 	if openHit {
 		return // streaming continuation: already fetched/buffered
 	}
-	if r.Addr == u.base {
+	if r.Addr == base {
 		return // stream start: the unit fills as the stream proceeds
 	}
-	if r.Size >= int(u.gran.Bytes())/meta.Arity && meta.Aligned(r.Addr, uint64(r.Size)) {
+	if r.Size >= int(g.Bytes())/meta.Arity && meta.Aligned(r.Addr, uint64(r.Size)) {
 		// A naturally aligned bulk transaction covering at least one
 		// arity-slice of the unit is a stream member, not a stray
 		// probe: open the unit and verify as the stream completes.
@@ -433,7 +433,7 @@ func (e *Engine) expandUnit(op *chunkOp, chunk, chunkBase uint64, u unitSpan, fi
 	// unprotected region (section 4.4), so the block verifies against
 	// its fine MAC without touching the rest of the unit.
 	if fineMACFallback && !r.Write {
-		unitMask := partMask(chunkBase, u.base, int(u.gran.Bytes()))
+		unitMask := partMask(chunkBase, base, int(g.Bytes()))
 		if e.writtenParts[chunk]&unitMask == 0 {
 			fineLine := e.geom.MACLineAddr(chunk, int((r.Addr-chunkBase)/meta.BlockSize))
 			op.join(e.memRead(r.Device, fineLine, 64, mem.MAC, nil))
@@ -441,7 +441,7 @@ func (e *Engine) expandUnit(op *chunkOp, chunk, chunkBase uint64, u unitSpan, fi
 		}
 	}
 	// Written data: fetch the covering unit to re-verify/re-seal.
-	op.lo, op.hi = min(op.lo, u.base), max(op.hi, unitEnd)
+	op.lo, op.hi = min(op.lo, base), max(op.hi, unitEnd)
 	// Misprediction handler (section 4.4): having paid the whole-unit
 	// fetch, the unit scales down immediately so repeated fine access
 	// does not pay it again; the tracker re-promotes if streaming
@@ -454,8 +454,8 @@ func (e *Engine) expandUnit(op *chunkOp, chunk, chunkBase uint64, u unitSpan, fi
 		op.rmw = true
 	}
 	if e.table != nil && !e.spec.Oracle {
-		firstPart := (u.base - chunkBase) / meta.PartitionSize
-		parts := u.gran.Blocks() / meta.BlocksPerPartition
+		firstPart := (base - chunkBase) / meta.PartitionSize
+		parts := g.Blocks() / meta.BlocksPerPartition
 		cur := e.table.Current(chunk).DemoteMask(int(firstPart), parts)
 		e.table.SetNext(chunk, cur)
 		e.table.CommitAll(chunk)
@@ -467,6 +467,64 @@ func (e *Engine) expandUnit(op *chunkOp, chunk, chunkBase uint64, u unitSpan, fi
 type fetchOp struct {
 	addr uint64
 	kind mem.Kind
+}
+
+// walkRuns walks the tree for every counter unit of the request (stage 6).
+// The walk of a counter line's first unit in a run is real; the line's
+// other units of the run re-hit it in one Repeat when the walker can prove
+// they would, and otherwise the next unit walks for real. Every unit counts
+// as one walk all the same.
+func (e *Engine) walkRuns(op *chunkOp) {
+	r := op.r
+	first := true
+	for _, u := range e.ctrRuns {
+		level := u.gran.Level()
+		stride := uint64(u.gran.Blocks())
+		blockIdx := meta.BlockIndex(u.base)
+		for left := u.n; left > 0; {
+			walk := e.walkUnit(blockIdx, u.gran, r.Write)
+			e.countWalks(r, walk, 1)
+			for range walk.Writebacks {
+				e.memWrite(r.Device, e.geom.CounterLineAddr(0, blockIdx), 64, mem.Counter, nil)
+			}
+			if first && !r.Write {
+				for _, a := range walk.Fetches {
+					op.serial = append(op.serial, fetchOp{addr: a, kind: mem.Counter})
+				}
+			} else {
+				for _, a := range walk.Fetches {
+					op.join(e.memRead(r.Device, a, 64, mem.Counter, nil))
+				}
+			}
+			first = false
+			// The units after this one on its counter line (Arity per line).
+			rest := min(left-1, meta.Arity-1-int(blockIdx/stride%meta.Arity))
+			blockIdx += stride
+			left--
+			if rep, ok := e.walker.Repeat(blockIdx, level, r.Write, rest); ok {
+				e.countWalks(r, rep, rest)
+				blockIdx += uint64(rest) * stride
+				left -= rest
+			}
+		}
+	}
+}
+
+// countWalks accounts for n walks with one outcome: the Stats, and with a
+// probe attached one EvWalk each.
+func (e *Engine) countWalks(r Request, walk tree.Walk, n int) {
+	if e.prb != nil {
+		for range n {
+			e.probeWalk(r, walk)
+		}
+	}
+	e.Stats.WalkLevels += uint64(n * walk.Levels)
+	if walk.Pruned {
+		e.Stats.PrunedWalks += uint64(n)
+	}
+	if walk.SubtreeHit {
+		e.Stats.SubtreeHits += uint64(n)
+	}
 }
 
 // walkUnit runs the tree walk for one unit.
@@ -509,25 +567,31 @@ func (e *Engine) counterSource(device int, chunk uint64) CounterSource {
 }
 
 // appendUnits collects the protection units covering a request under a
-// granularity rule into dst (an engine-owned scratch slice).
-func appendUnits(dst []unitSpan, sp meta.StreamPart, chunkBase uint64, r Request, rule granRule) []unitSpan {
+// granularity rule into dst (an engine-owned scratch slice), as maximal
+// runs: a fixed rule gives one run, a table rule steps by partition and
+// extends the last run while the next units continue it.
+func appendUnits(dst []unitRun, sp meta.StreamPart, r Request, rule granRule) []unitRun {
 	end := r.Addr + uint64(r.Size)
 	if rule.fixed {
-		for a := meta.AlignGran(r.Addr, rule.gran); a < end; a += rule.gran.Bytes() {
-			dst = append(dst, unitSpan{base: a, gran: rule.gran})
-		}
-		return dst
+		base := meta.AlignGran(r.Addr, rule.gran)
+		n := (end - base + rule.gran.Bytes() - 1) / rule.gran.Bytes()
+		return append(dst, unitRun{base: base, gran: rule.gran, n: int(n)})
 	}
 	for addr := r.Addr; addr < end; {
-		u := sp.UnitOf(int((addr - chunkBase) / meta.BlockSize))
-		g := u.Gran
-		base := chunkBase + uint64(u.Block)*meta.BlockSize
-		if g > rule.cap {
-			g = rule.cap
-			base = meta.AlignGran(addr, g)
+		g := min(sp.GranOf(meta.PartIndex(addr)), rule.cap)
+		base := meta.AlignGran(addr, g)
+		next := base + g.Bytes()
+		if g == meta.Gran64 {
+			// The partition's blocks from addr, up to the request's end.
+			next = min(meta.AlignGran(addr, meta.Gran512)+meta.PartitionSize, end)
 		}
-		dst = append(dst, unitSpan{base: base, gran: g})
-		addr = base + g.Bytes()
+		n := int((next - base + g.Bytes() - 1) / g.Bytes())
+		if k := len(dst) - 1; k >= 0 && dst[k].gran == g && dst[k].base+uint64(dst[k].n)*g.Bytes() == base {
+			dst[k].n += n
+		} else {
+			dst = append(dst, unitRun{base: base, gran: g, n: n})
+		}
+		addr = next
 	}
 	return dst
 }

@@ -97,18 +97,23 @@ func refuteMask(prev, touched meta.StreamPart) meta.StreamPart {
 
 // handleSwitches applies pending lazy granularity switches for the units a
 // request touches and charges the Table 2 costs. Requests that needed no
-// switch count as correct predictions.
+// switch count as correct predictions. A partition is pending when its
+// unit granularity differs between the chunk's current and next encodings;
+// only CommitUnit writes the table in this loop, so both are read once and
+// again after each commit, and the loop stops once they agree.
 func (e *Engine) handleSwitches(r Request, chunk, chunkBase uint64, op *chunkOp) {
 	firstPart := meta.PartIndex(r.Addr)
 	lastPart := meta.PartIndex(r.Addr + uint64(r.Size) - 1)
 	classified := false
 	switched := false
-	for p := firstPart; p <= lastPart; p++ {
-		b := p * meta.BlocksPerPartition
-		if !e.table.Pending(chunk, b) {
+	cur, next := e.table.Current(chunk), e.table.Next(chunk)
+	for p := firstPart; p <= lastPart && cur != next; p++ {
+		if cur.GranOf(p) == next.GranOf(p) {
 			continue
 		}
+		b := p * meta.BlocksPerPartition
 		from, to := e.table.CommitUnit(chunk, b)
+		cur, next = e.table.Current(chunk), e.table.Next(chunk)
 		switched = true
 		if !e.spec.FreeSwitch {
 			e.chargeSwitch(r, chunk, chunkBase, b, from, to, op, &classified)

@@ -60,6 +60,9 @@ func TestAlignGran(t *testing.T) {
 	if AlignGran(addr, Gran64) != ChunkSize+4096+512+64 {
 		t.Error("AlignGran 64B")
 	}
+	if AlignBlock(addr) != AlignGran(addr, Gran64) {
+		t.Error("AlignBlock")
+	}
 	if AlignGran(addr, Gran512) != ChunkSize+4096+512 {
 		t.Error("AlignGran 512B")
 	}

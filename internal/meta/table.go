@@ -31,18 +31,6 @@ func (t *Table) Next(chunk uint64) StreamPart {
 	return t.cur[chunk]
 }
 
-// Pending reports whether the chunk has an unapplied switch for the
-// partitions covering block b (0..511): the unit granularity differs
-// between current and next.
-func (t *Table) Pending(chunk uint64, b int) bool {
-	cur, next := t.Current(chunk), t.Next(chunk)
-	if cur == next {
-		return false
-	}
-	p := b / BlocksPerPartition
-	return cur.GranOf(p) != next.GranOf(p)
-}
-
 // SetNext records a freshly detected encoding for the chunk (the output of
 // the granularity-detection algorithm). The switch is applied lazily,
 // unit by unit, as accesses arrive.

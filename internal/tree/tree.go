@@ -63,28 +63,31 @@ type Walker struct {
 	touched   map[uint64]bool // chunks written since boot (kept under PruneUnused only)
 	buf       []uint64        // reused Fetches backing store (see Read/Write)
 
-	// rep describes the last write walk when a write walk on the same path
-	// may re-hit it (see write).
+	// rep describes the last walk when a later walk of the same kind on the
+	// same path may re-hit it (see Repeat).
 	rep repeat
 }
 
-// repeat records a write walk that hit at every level it touched, and the
-// clocks of both caches right after it. A later write walk on the same path
-// touches the same lines in the same order; while neither clock has moved,
-// each of those accesses hits again and changes nothing but the hit counts
-// and the clocks (cache.Rehit).
+// repeat records a walk that a later walk of the same kind on the same path
+// re-hits exactly, and the clocks of both caches right after it. Two walks
+// qualify: a write walk that hit at every level it touched, and a read walk
+// that hit at its first level without consulting the root registers. While
+// neither clock has moved, the later walk touches the same lines in the same
+// order, so each of those accesses hits again and changes nothing but the
+// hit counts and the clocks (cache.Rehit).
 type repeat struct {
 	ok         bool
+	write      bool
 	path       path
 	levels     int  // metadata-cache lines the walk touched
 	subtreeHit bool // the walk ended at a root register
 	clocks     [2]uint64
 }
 
-// path identifies the lines a write walk touches: its start level, the
-// counter line there (which fixes every line above it) and the subtree root
-// it may stop at (0 without root registers). The root is not implied by the
-// line when the walk starts at the subtree level.
+// path identifies the lines a walk touches: its start level, the counter
+// line there (which fixes every line above it) and the subtree root it may
+// stop at (0 without root registers). The root is not implied by the line
+// when the walk starts at the subtree level.
 type path struct {
 	level         int
 	line, subtree uint64
@@ -123,7 +126,8 @@ func (w *Walker) MarkTouched(blockIdx uint64) {
 
 // Read walks the tree for a read of a unit whose counter lives at
 // startLevel, ascending until a trusted point: a metadata-cache hit, an
-// on-chip subtree root, or the tree root.
+// on-chip subtree root, or the tree root. Read never repeats a walk itself,
+// but it records one that hit at its first level for Repeat.
 //
 // The returned Walk's Fetches slice is backed by walker-owned scratch and
 // is valid only until the walker's next Read or Write; callers consume it
@@ -137,7 +141,8 @@ func (w *Walker) Read(blockIdx uint64, startLevel int) Walk {
 
 func (w *Walker) read(blockIdx uint64, startLevel int) Walk {
 	walk := Walk{Fetches: w.buf[:0]}
-	if w.cfg.PruneUnused && !w.touched[blockIdx/meta.BlocksPerChunk] {
+	w.rep.ok = false
+	if w.pruned(blockIdx) {
 		walk.Pruned = true
 		return walk
 	}
@@ -152,11 +157,23 @@ func (w *Walker) read(blockIdx uint64, startLevel int) Walk {
 			walk.Writebacks++
 		}
 		if hit {
+			// A hit at the first level repeats, unless the walk consulted the
+			// root registers first: its repeat would hit the root it
+			// installed.
+			if level == startLevel && (!w.cfg.Subtree || level != w.cfg.SubtreeLevel) {
+				w.rep = repeat{ok: true, path: w.pathOf(blockIdx, level), levels: 1, clocks: w.clocks()}
+			}
 			return walk // cached node is trusted; verification stops
 		}
 		walk.Fetches = append(walk.Fetches, addr)
 	}
 	return walk
+}
+
+// pruned reports whether a read of blockIdx skips verification: its chunk
+// was never written (PruneUnused only).
+func (w *Walker) pruned(blockIdx uint64) bool {
+	return w.cfg.PruneUnused && !w.touched[blockIdx/meta.BlocksPerChunk]
 }
 
 // Write walks the tree for a dirty-eviction write: every level from the
@@ -171,26 +188,15 @@ func (w *Walker) Write(blockIdx uint64, startLevel int) Walk {
 }
 
 // write walks every level, unless the walk repeats the previous write walk
-// on an unchanged cache (see repeat): then it re-hits that walk's lines in
-// one step. Only a walk that hit everywhere is recorded. A walk that
-// fetched filled lines (and may have evicted), and a walk that missed the
-// subtree root and went on above it installed that root, so its repeat
-// would stop at the root instead.
+// on an unchanged cache (see Repeat). Only a walk that hit everywhere is
+// recorded. A walk that fetched filled lines (and may have evicted), and a
+// walk that missed the subtree root and went on above it installed that
+// root, so its repeat would stop at the root instead.
 func (w *Walker) write(blockIdx uint64, startLevel int) Walk {
+	if walk, ok := w.Repeat(blockIdx, startLevel, true, 1); ok {
+		return walk
+	}
 	w.MarkTouched(blockIdx)
-	p := path{level: startLevel, line: blockIdx >> (3 * uint(startLevel+1))}
-	if w.rootCache != nil {
-		p.subtree = w.subtreeID(blockIdx)
-	}
-	if rp := &w.rep; rp.ok && rp.path == p && rp.clocks == w.clocks() {
-		w.meta.Rehit(rp.levels)
-		if rp.subtreeHit {
-			w.rootCache.Rehit(1)
-		}
-		rp.clocks = w.clocks()
-		return Walk{Fetches: w.buf[:0], Levels: rp.levels, SubtreeHit: rp.subtreeHit}
-	}
-
 	walk := Walk{Fetches: w.buf[:0]}
 	rootMissed := false
 	for level := startLevel; level < w.geom.Levels(); level++ {
@@ -212,12 +218,50 @@ func (w *Walker) write(blockIdx uint64, startLevel int) Walk {
 	}
 	w.rep = repeat{
 		ok:         len(walk.Fetches) == 0 && !rootMissed,
-		path:       p,
+		write:      true,
+		path:       w.pathOf(blockIdx, startLevel),
 		levels:     walk.Levels,
 		subtreeHit: walk.SubtreeHit,
 		clocks:     w.clocks(),
 	}
 	return walk
+}
+
+// Repeat accounts for n more walks (reads, or writes when write is set) of
+// blocks in blockIdx's chunk on blockIdx's path at level, such as the other
+// units of its counter line, when it can prove that each would re-hit the
+// last walk: that walk was recorded (see repeat), was of the same kind on
+// the same path, and neither cache's clock has moved since. It then re-hits
+// the walk's lines n times with one Rehit per cache (n repeats of a walk's
+// accesses are n successive re-hits), and returns the outcome of each
+// repeated walk, which fetches nothing. Otherwise, and for n < 1, it
+// changes nothing and returns false; the caller walks for real.
+func (w *Walker) Repeat(blockIdx uint64, level int, write bool, n int) (Walk, bool) {
+	rp := &w.rep
+	if n < 1 || !rp.ok || rp.write != write || rp.path != w.pathOf(blockIdx, level) || rp.clocks != w.clocks() {
+		return Walk{}, false
+	}
+	if write {
+		w.MarkTouched(blockIdx)
+	} else if w.pruned(blockIdx) {
+		// The path can span chunks, and this one was never written.
+		return Walk{}, false
+	}
+	w.meta.Rehit(n * rp.levels)
+	if rp.subtreeHit {
+		w.rootCache.Rehit(n)
+	}
+	rp.clocks = w.clocks()
+	return Walk{Fetches: w.buf[:0], Levels: rp.levels, SubtreeHit: rp.subtreeHit}, true
+}
+
+// pathOf returns the path of a walk of blockIdx from level.
+func (w *Walker) pathOf(blockIdx uint64, level int) path {
+	p := path{level: level, line: blockIdx >> (3 * uint(level+1))}
+	if w.rootCache != nil {
+		p.subtree = w.subtreeID(blockIdx)
+	}
+	return p
 }
 
 // clocks reads the metadata cache's and the root registers' clocks.
